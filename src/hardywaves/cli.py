@@ -141,6 +141,17 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
+def _error_outdir(args: argparse.Namespace) -> Path:
+    """Directory for error.json, resolved as ``_resolve`` does: --outdir, then
+    the config file, then $HARDYWAVES_OUTDIR, then the working directory."""
+    outdir = getattr(args, "outdir", None)
+    if outdir is None:
+        outdir = _load_config_file(getattr(args, "config", None)).get("outdir")
+    if outdir is None:
+        outdir = os.environ.get(OUTDIR_ENV, ".")
+    return Path(outdir)
+
+
 def _params_from(cfg: dict, weight=None) -> Params:
     return Params(N=cfg["N"], q=cfg["q"], gamma=cfg.get("gamma", 1.0), weight=weight)
 
@@ -452,7 +463,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except HardyWavesError as exc:
-        outdir = Path(getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV, "."))
+        outdir = _error_outdir(args)
         outdir.mkdir(parents=True, exist_ok=True)
         payload = {
             "error": type(exc).__name__,

@@ -10,6 +10,17 @@ of a real symmetric pencil, hence exactly unitary in the discrete weighted
 inner product; charge is conserved to solver roundoff and energy to
 O(dt^2) without secular growth.
 
+The midpoint iteration of a Crank-Nicolson step starts from the
+extrapolation 3 v_n - 3 v_{n-1} + v_{n-2} of the last three fields (the
+linear 2 v_n - v_{n-1} after one step, v_n on the first).  Where the field
+moves smoothly in time this saves one of three Cayley solves per step;
+fields with fast oscillations in time (a standing wave perturbed at the
+1e-2 level on the default grid, at dt = 2e-3) still take three.  The stopping
+tolerance is unchanged, so the guess moves results only within it.  The
+last two fields travel with the state, so chained ``propagate`` calls
+extrapolate across chunk boundaries exactly as one long call does.  The
+potential-free part of the right-hand side is built once per step.
+
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
 short enough that radiation does not reach the outer boundary.
@@ -17,7 +28,7 @@ short enough that radiation does not reach the outer boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,12 +46,17 @@ SCHEMES = ("crank-nicolson", "strang-splitting")
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Complex field at one instant, with its conserved-quantity baselines."""
+    """Complex field at one instant, with its conserved-quantity baselines.
+
+    ``history`` holds the field values of the last two steps, newest first;
+    it only seeds the midpoint iteration and is never written out.
+    """
 
     v: Field
     time: float
     charge0: float
     energy0: float
+    history: tuple = field(default=(), repr=False, compare=False)
 
 
 def initial_state(v: Field, params: Params) -> EvolutionState:
@@ -82,29 +98,46 @@ def propagate(
         params.require_subcritical("nonlinear propagation")
     op = RadialOperator(state.v.grid, params)
     v = state.v.values.astype(complex)
+    history = state.history
     zero_pot = np.zeros(op.grid.n)
     for k in range(steps):
         if not np.all(np.isfinite(v)):
             raise BlowupError(f"non-finite field at step {k}, t={state.time + k * dt}")
         if scheme == "crank-nicolson":
-            v = _cn_step(op, v, dt, nonlinear)
+            v_new = _cn_step(op, v, dt, nonlinear, history)
         else:
-            v = _strang_step(op, v, dt, nonlinear, zero_pot)
+            v_new = _strang_step(op, v, dt, nonlinear, zero_pot)
+        history = (v, *history[:1])
+        v = v_new
     if not np.all(np.isfinite(v)):
         raise BlowupError(f"non-finite field after {steps} steps")
-    return replace(state, v=state.v.with_values(v), time=state.time + dt * steps)
+    return replace(
+        state, v=state.v.with_values(v), time=state.time + dt * steps, history=history
+    )
 
 
-def _cn_step(op: RadialOperator, v: np.ndarray, dt: float, nonlinear: bool) -> np.ndarray:
+def _extrapolate(v: np.ndarray, history: tuple) -> np.ndarray:
+    """Guess for the next field from the current one and up to two before it."""
+    if len(history) == 2:
+        return 3.0 * v - 3.0 * history[0] + history[1]
+    if len(history) == 1:
+        return 2.0 * v - history[0]
+    return v
+
+
+def _cn_step(
+    op: RadialOperator, v: np.ndarray, dt: float, nonlinear: bool, history: tuple
+) -> np.ndarray:
     q = op.params.q
     if not nonlinear:
         return op.solve_cayley(np.zeros_like(op.w_sing), v, dt)
-    v_next = v
+    rhs = op.cayley_rhs(v, dt)
+    v_next = _extrapolate(v, history)
     scale = max(1.0, np.sqrt(op.mass(v)))
     for _ in range(_FP_MAX):
         v_mid = 0.5 * (v + v_next)
         potential = op.w_sing * np.abs(v_mid) ** (q - 2.0)
-        v_new = op.solve_cayley(potential, v, dt)
+        v_new = op.solve_cayley(potential, v, dt, rhs)
         err = np.sqrt(op.mass(v_new - v_next))
         v_next = v_new
         if err < _FP_TOL * scale:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from .energies import EnergyReport, energy_J
 from .errors import ConvergenceError, DomainError, ParameterError
@@ -130,7 +131,7 @@ def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
         rhs = np.column_stack([-g1, op.mass_diag * v])
         try:
             sol = op.solve_tridiag(jac_diag, rhs)
-        except Exception:
+        except LinAlgError:
             break
         a, b = sol[:, 0], sol[:, 1]
         mv = op.mass_diag * v

@@ -23,12 +23,15 @@ used downstream.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded, solveh_banded
 
 from .errors import ShapeError
 from .radial import Field, Params, RadialGrid, unit_ball_volume
 
 __all__ = ["RadialOperator", "cell_stiffness", "singular_weight"]
+
+# complex tridiagonal solver, called directly by the Crank-Nicolson stage
+_ZGTSV = get_lapack_funcs("gtsv", dtype=np.complex128)
 
 
 def cell_stiffness(grid: RadialGrid) -> np.ndarray:
@@ -148,24 +151,32 @@ class RadialOperator:
         ab[2, :-1] = self.k_lower
         return solve_banded((1, 1), ab, rhs)
 
-    def solve_cayley(self, potential: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    def cayley_rhs(self, v: np.ndarray, dt: float) -> np.ndarray:
+        """Potential-free part of the Cayley right-hand side: M v - i dt/2 K v."""
+        return self.mass_diag * v - 0.5j * dt * self.stiffness_apply(v)
+
+    def solve_cayley(
+        self, potential: np.ndarray, v: np.ndarray, dt: float, rhs: np.ndarray | None = None
+    ) -> np.ndarray:
         """One Crank-Nicolson stage: (M + i dt/2 B) v+ = (M - i dt/2 B) v,
         B = K - M diag(potential).
+
+        ``rhs`` is ``cayley_rhs(v, dt)``, passed in when several stages share
+        v; only the potential term of the right-hand side is added here.
 
         B is real symmetric, so the stage is exactly unitary in the discrete
         r dr inner product up to the linear-solver roundoff.
         """
-        n = self.grid.n
         half = 0.5j * dt
-        b_diag = self.k_diag - self.mass_diag * potential
-        rhs = (self.mass_diag - half * b_diag) * v
-        rhs[:-1] -= half * self.k_lower * v[1:]
-        rhs[1:] -= half * self.k_lower * v[:-1]
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = half * self.k_lower
-        ab[1] = self.mass_diag + half * b_diag
-        ab[2, :-1] = half * self.k_lower
-        return solve_banded((1, 1), ab, rhs)
+        if rhs is None:
+            rhs = self.cayley_rhs(v, dt)
+        rhs = rhs + half * self.mass_diag * potential * v
+        off = half * self.k_lower
+        diag = self.mass_diag + half * (self.k_diag - self.mass_diag * potential)
+        _, _, _, x, info = _ZGTSV(off, diag, off.copy(), rhs, 1, 1, 1, 1)
+        if info != 0:
+            raise LinAlgError(f"Cayley stage solve failed (zgtsv info={info})")
+        return x
 
     # -- helpers ---------------------------------------------------------------
 

@@ -128,6 +128,22 @@ def test_numerical_failure_writes_error_json(tmp_path):
     assert "residual" in payload["diagnostics"]
 
 
+def test_numerical_failure_error_json_in_config_outdir(tmp_path, monkeypatch):
+    # an outdir given only in the config file receives error.json too
+    out = tmp_path / "from_config"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"outdir": str(out)}))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("HARDYWAVES_OUTDIR", raising=False)
+    code = run_cli(["ground-state", *SMALL_GRID, "--tol", "1e-30",
+                    "--max-iter", "30", "--config", str(config)])
+    assert code == 2
+    assert read_json(out / "error.json")["error"] == "ConvergenceError"
+    assert not (cwd / "error.json").exists()
+
+
 def test_default_config_ground_state(tmp_path):
     # the out-of-the-box run: default grid, tol 1e-6
     out = tmp_path / "default"

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hardywaves import Field, ParameterError, Params, StepError, build_grid, orbit_distance
 from hardywaves.evolve import initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
+from hardywaves.stability import perturbed_field
 
 
 def free_gaussian(grid, t):
@@ -131,3 +134,59 @@ def test_fixed_point_failure_raises_step_error(grid2k, params33):
     with pytest.raises(StepError) as err:
         propagate(state, params33, 10.0, 1)
     assert "dt" in err.value.diagnostics
+
+
+def _perturbed_wave(wave, params, delta):
+    return initial_state(perturbed_field(wave, delta, "radial-bump"), params)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = RadialOperator.solve_cayley
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialOperator, "solve_cayley", counted)
+    return calls
+
+
+def test_initial_state_has_empty_history(grid2k, params33):
+    v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
+    assert initial_state(v0, params33).history == ()
+
+
+def test_chained_propagate_matches_one_call(wave2k, params33, monkeypatch):
+    # the last fields ride on the state, so short chunks extrapolate the
+    # midpoint guess across their boundaries as one long call does
+    calls = _count_solves(monkeypatch)
+    state = _perturbed_wave(wave2k, params33, 1e-2)
+    one = propagate(state, params33, 1e-3, 300)
+    one_call_solves = len(calls)
+    calls.clear()
+    chained = state
+    for _ in range(100):
+        chained = propagate(chained, params33, 1e-3, 3)
+    assert len(calls) == one_call_solves
+    assert chained.time == pytest.approx(one.time, abs=1e-12)
+    assert len(chained.history) == 2
+    assert np.max(np.abs(chained.v.values - one.v.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("delta, solves_per_step", [(1e-3, 2.1), (1e-2, 3.0)])
+def test_extrapolated_guess_does_not_add_solves(wave2k, params33, delta, solves_per_step,
+                                                monkeypatch):
+    # dropping the history before every step starts each midpoint iteration
+    # from v_n, the guess without extrapolation (3 solves per step here);
+    # the larger perturbation oscillates too fast in time for the
+    # extrapolation to save a solve
+    calls = _count_solves(monkeypatch)
+    plain = _perturbed_wave(wave2k, params33, delta)
+    for _ in range(100):
+        plain = propagate(replace(plain, history=()), params33, 1e-3, 1)
+    plain_solves = len(calls)
+    calls.clear()
+    guessed = propagate(_perturbed_wave(wave2k, params33, delta), params33, 1e-3, 100)
+    assert len(calls) <= min(plain_solves, solves_per_step * 100)
+    assert np.max(np.abs(guessed.v.values - plain.v.values)) <= 1e-10

@@ -168,3 +168,14 @@ def test_oracle_matches_flow(params33):
 def test_oracle_rejects_large_grid(params33):
     with pytest.raises(ParameterError):
         oracle_minimize(params33, build_grid(1024, 1e-4, 30.0))
+
+
+def test_newton_polish_propagates_non_linalg_errors(grid1k, params33, monkeypatch):
+    # only a singular Jacobian may end the polish quietly; a broken solver
+    # call is a defect and must surface
+    def broken(self, diag, rhs):
+        raise TypeError("broken tridiagonal solve")
+
+    monkeypatch.setattr(RadialOperator, "solve_tridiag", broken)
+    with pytest.raises(TypeError, match="broken tridiagonal solve"):
+        normalized_gradient_flow(params33, grid1k, tol=1e-8)
