@@ -30,6 +30,7 @@ from .errors import HardyWavesError, ParameterError
 from .evolve import initial_state, invariants, propagate
 from .groundstate import normalized_gradient_flow, origin_behavior
 from .kelvin import kelvin_verify
+from .operators import RadialOperator
 from .radial import Field, Params, build_grid, to_u
 from .stability import stability_experiment
 
@@ -234,8 +235,9 @@ def _cmd_evolve(args) -> int:
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
 
+    op = RadialOperator(grid, params)  # one per run: its linear-stage factors are reused
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
-    state = initial_state(v0, params)
+    state = initial_state(v0, params, op)
     nonlinear = not cfg["linear"]
     n_chunks = 20
     chunk = max(cfg["steps"] // n_chunks, 1)
@@ -243,9 +245,10 @@ def _cmd_evolve(args) -> int:
     done = 0
     while done < cfg["steps"]:
         k = min(chunk, cfg["steps"] - done)
-        state = propagate(state, params, cfg["dt"], k, scheme=cfg["scheme"], nonlinear=nonlinear)
+        state = propagate(state, params, cfg["dt"], k, scheme=cfg["scheme"],
+                          nonlinear=nonlinear, op=op)
         done += k
-        charge, energy = invariants(state, params)
+        charge, energy = invariants(state, params, op)
         times.append(state.time)
         charges.append(charge)
         energies.append(energy)

@@ -64,16 +64,28 @@ class StandingWave:
     converged: bool = True
 
     def __post_init__(self):
+        # the solver's own output breaking an invariant is a numerical failure
         vals = np.real(self.v.values)
+        low = float(np.min(vals))
         peak = float(np.max(np.abs(vals))) or 1.0
-        if float(np.min(vals)) < -1e-10 * peak:
-            raise ParameterError("standing wave profile must be nonnegative")
+        diagnostics = {
+            "min_value": low,
+            "peak": peak,
+            "mass_mu": self.energies.mass_mu,
+            "gamma": self.gamma,
+            "v0": self.v0,
+            "residual": self.residual,
+            "iterations": self.iterations,
+        }
+        if low < -1e-10 * peak:
+            raise ConvergenceError("standing wave profile must be nonnegative", diagnostics)
         if abs(self.energies.mass_mu - self.gamma) > _MASS_RTOL * self.gamma:
-            raise ParameterError(
-                f"mass constraint violated: {self.energies.mass_mu} != {self.gamma}"
+            raise ConvergenceError(
+                f"mass constraint violated: {self.energies.mass_mu} != {self.gamma}",
+                diagnostics,
             )
         if self.converged and not self.v0 > 0.0:
-            raise ParameterError("extrapolated origin value must be positive")
+            raise ConvergenceError("extrapolated origin value must be positive", diagnostics)
 
 
 def elliptic_residual(v: Field, lam: float, params: Params) -> float:

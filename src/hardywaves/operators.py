@@ -30,8 +30,9 @@ from .radial import Field, Params, RadialGrid, unit_ball_volume
 
 __all__ = ["RadialOperator", "cell_stiffness", "singular_weight"]
 
-# complex tridiagonal solver, called directly by the Crank-Nicolson stage
-_ZGTSV = get_lapack_funcs("gtsv", dtype=np.complex128)
+# complex tridiagonal LAPACK routines, called directly by the Cayley stage:
+# gtsv solves with a potential, gttrf/gttrs factor the fixed matrix once
+_ZGTSV, _ZGTTRF, _ZGTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np.complex128)
 
 
 def cell_stiffness(grid: RadialGrid) -> np.ndarray:
@@ -77,6 +78,7 @@ class RadialOperator:
         self.k_diag[0] = self.s[0]
         self.k_diag[1:] = self.s[:-1] + self.s[1:]
         self.w_sing = singular_weight(grid, params)
+        self._cayley_lu = None  # (dt, gttrf factors of M + i dt/2 K)
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----
 
@@ -156,13 +158,20 @@ class RadialOperator:
         return self.mass_diag * v - 0.5j * dt * self.stiffness_apply(v)
 
     def solve_cayley(
-        self, potential: np.ndarray, v: np.ndarray, dt: float, rhs: np.ndarray | None = None
+        self,
+        potential: np.ndarray | None,
+        v: np.ndarray,
+        dt: float,
+        rhs: np.ndarray | None = None,
     ) -> np.ndarray:
         """One Crank-Nicolson stage: (M + i dt/2 B) v+ = (M - i dt/2 B) v,
         B = K - M diag(potential).
 
         ``rhs`` is ``cayley_rhs(v, dt)``, passed in when several stages share
         v; only the potential term of the right-hand side is added here.
+        ``potential=None`` is the stage without potential: its fixed matrix
+        M + i dt/2 K is factored once per dt and kept on the operator, so a
+        call only back-substitutes.
 
         B is real symmetric, so the stage is exactly unitary in the discrete
         r dr inner product up to the linear-solver roundoff.
@@ -170,6 +179,11 @@ class RadialOperator:
         half = 0.5j * dt
         if rhs is None:
             rhs = self.cayley_rhs(v, dt)
+        if potential is None:
+            x, info = _ZGTTRS(*self._cayley_factors(dt), rhs)
+            if info != 0:
+                raise LinAlgError(f"Cayley stage solve failed (zgttrs info={info})")
+            return x
         rhs = rhs + half * self.mass_diag * potential * v
         off = half * self.k_lower
         diag = self.mass_diag + half * (self.k_diag - self.mass_diag * potential)
@@ -177,6 +191,17 @@ class RadialOperator:
         if info != 0:
             raise LinAlgError(f"Cayley stage solve failed (zgtsv info={info})")
         return x
+
+    def _cayley_factors(self, dt: float) -> tuple:
+        """gttrf factors of M + i dt/2 K, computed on the first call per dt."""
+        if self._cayley_lu is None or self._cayley_lu[0] != dt:
+            half = 0.5j * dt
+            off = half * self.k_lower
+            *factors, info = _ZGTTRF(off, self.mass_diag + half * self.k_diag, off)
+            if info != 0:
+                raise LinAlgError(f"Cayley matrix factorization failed (zgttrf info={info})")
+            self._cayley_lu = (dt, tuple(factors))
+        return self._cayley_lu[1]
 
     # -- helpers ---------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evolve import initial_state, propagate
+from .evolve import initial_state, invariants, propagate
 from .groundstate import StandingWave
 from .operators import RadialOperator
 from .radial import Field, Params
@@ -58,15 +58,18 @@ class StabilityRun:
         return float(np.max(self.distances))
 
 
-def orbit_distance(v: Field, sw: StandingWave) -> float:
+def orbit_distance(v: Field, sw: StandingWave, op: RadialOperator | None = None) -> float:
     """Distance from v to the phase orbit of the standing wave, in the
     energy norm.
 
     The optimal phase is theta* = arg <v, v_g>_H, in closed form; the norm
     of the explicit difference v - e^{i theta*} v_g then avoids the
     catastrophic cancellation of the expanded formula near the orbit.
+    ``op``, when given, is an operator on the wave's grid in dimension N;
+    the energy norm depends on nothing else.
     """
-    op = RadialOperator(sw.v.grid, sw.params)
+    if op is None:
+        op = RadialOperator(sw.v.grid, sw.params)
     a = op.check_field(v).astype(complex)
     b = sw.v.values.astype(complex)
     inner = op.h_inner(a, b)
@@ -89,10 +92,14 @@ def _perturbation(kind: str, op: RadialOperator, v_wave: np.ndarray) -> np.ndarr
     raise ParameterError(f"unknown perturbation kind {kind!r}; choose from {PERTURBATION_KINDS}")
 
 
-def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
+def perturbed_field(
+    sw: StandingWave, delta: float, kind: str, op: RadialOperator | None = None
+) -> Field:
     """Standing wave plus a delta-sized energy-norm perturbation, renormalised
-    back to mass gamma (the beta-normalisation device)."""
-    op = RadialOperator(sw.v.grid, sw.params)
+    back to mass gamma (the beta-normalisation device).  ``op``, when given,
+    is an operator on the wave's grid in dimension N."""
+    if op is None:
+        op = RadialOperator(sw.v.grid, sw.params)
     v_wave = np.real(sw.v.values)
     v = v_wave.astype(complex)
     if delta != 0.0:
@@ -115,14 +122,15 @@ def stability_experiment(
     n_samples: int = 100,
 ) -> StabilityRun:
     """Perturb, evolve to time T, and sample the orbit distance at
-    n_samples (>= 100 by contract) uniformly spaced times."""
+    n_samples (>= 100 by contract) uniformly spaced times.  One operator
+    serves the whole run: perturbation, propagation and every sample."""
     if delta < 0.0:
         raise ParameterError("perturbation size must be nonnegative")
     params.require_subcritical("stability experiments")
     n_samples = max(int(n_samples), 100)
     op = RadialOperator(sw.v.grid, params)
 
-    state = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
+    state = initial_state(perturbed_field(sw, delta, perturbation_kind, op), params, op)
     steps_per_sample = max(1, int(round(T / (n_samples * dt))))
     times = np.empty(n_samples)
     distances = np.empty(n_samples)
@@ -130,11 +138,12 @@ def stability_experiment(
     energy_drift = np.empty(n_samples)
     energy_scale = max(abs(state.energy0), 1e-300)
     for k in range(n_samples):
-        state = propagate(state, params, dt, steps_per_sample)
+        state = propagate(state, params, dt, steps_per_sample, op=op)
         times[k] = state.time
-        distances[k] = orbit_distance(state.v, sw)
-        charge_drift[k] = abs(op.mass(state.v.values) - state.charge0) / state.charge0
-        energy_drift[k] = abs(op.energy(state.v.values) - state.energy0) / energy_scale
+        distances[k] = orbit_distance(state.v, sw, op)
+        charge, energy = invariants(state, params, op)
+        charge_drift[k] = abs(charge - state.charge0) / state.charge0
+        energy_drift[k] = abs(energy - state.energy0) / energy_scale
     return StabilityRun(
         delta=delta,
         times=times,

@@ -167,3 +167,18 @@ def test_seventeen_digit_floats(tmp_path):
     assert isinstance(payload["threshold"], float)
     # a 17-significant-digit rendering of 1/3-like values appears verbatim
     assert format(payload["lq_quadrature"], ".17g") in text
+
+
+def test_invalid_solver_wave_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # a flow result with a nonpositive origin value breaks a StandingWave
+    # invariant: exit 2 with error.json, not the exit 1 of a config error
+    import hardywaves.groundstate as groundstate
+
+    monkeypatch.setattr(groundstate, "_origin_value", lambda v, grid, N: -1.0)
+    out = tmp_path / "bad_wave"
+    code = run_cli(["ground-state", *SMALL_GRID, "--tol", "1e-8", "--outdir", str(out)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    payload = read_json(out / "error.json")
+    assert payload["error"] == "ConvergenceError"
+    assert payload["diagnostics"]["v0"] == -1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardywaves import Field, ParameterError, Params, StepError, build_grid, orbit_distance
-from hardywaves.evolve import initial_state, invariants, propagate
+from hardywaves.evolve import _FP_MAX, _FP_TOL, initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import perturbed_field
 
@@ -134,6 +134,8 @@ def test_fixed_point_failure_raises_step_error(grid2k, params33):
     with pytest.raises(StepError) as err:
         propagate(state, params33, 10.0, 1)
     assert "dt" in err.value.diagnostics
+    assert err.value.diagnostics["iterations"] == _FP_MAX
+    assert "theta" in err.value.diagnostics
 
 
 def _perturbed_wave(wave, params, delta):
@@ -190,3 +192,38 @@ def test_extrapolated_guess_does_not_add_solves(wave2k, params33, delta, solves_
     guessed = propagate(_perturbed_wave(wave2k, params33, delta), params33, 1e-3, 100)
     assert len(calls) <= min(plain_solves, solves_per_step * 100)
     assert np.max(np.abs(guessed.v.values - plain.v.values)) <= 1e-10
+
+
+def _midpoint_fixed_point(op, v, v_next, dt, iterations=6):
+    """Continue the midpoint iteration of the step v -> v_next well past
+    convergence (each update contracts by about 1e-5 here)."""
+    rhs = op.cayley_rhs(v, dt)
+    for _ in range(iterations):
+        potential = op.w_sing * np.abs(0.5 * (v + v_next)) ** (op.params.q - 2.0)
+        v_next = op.solve_cayley(potential, v, dt, rhs)
+    return v_next
+
+
+@pytest.mark.parametrize("kind", ["radial-bump", "phase-ramp"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+def test_midpoint_stop_is_within_tolerance(wave2k, params33, kind, delta, monkeypatch):
+    # the error-estimate stop may end the iteration before two consecutive
+    # iterates agree to the tolerance, but never farther than the
+    # tolerance from the fixed point; an unguarded estimate from the
+    # previous step's contraction ratio breaks this at radial-bump, 1e-2
+    op = RadialOperator(wave2k.v.grid, params33)
+    state = initial_state(perturbed_field(wave2k, delta, kind), params33, op)
+    tol = _FP_TOL * max(1.0, np.sqrt(state.charge0))
+    worst = 0.0
+    for _ in range(100):
+        v = state.v.values
+        state = propagate(state, params33, 1e-3, 1, op=op)
+        exact = _midpoint_fixed_point(op, v, state.v.values, 1e-3)
+        worst = max(worst, np.sqrt(op.mass(state.v.values - exact)))
+    assert worst <= tol
+    if delta == 1e-2:
+        # the plain test needs a third solve per step to see convergence
+        calls = _count_solves(monkeypatch)
+        propagate(initial_state(perturbed_field(wave2k, delta, kind), params33), params33,
+                  1e-3, 100)
+        assert len(calls) <= 200

@@ -179,3 +179,20 @@ def test_newton_polish_propagates_non_linalg_errors(grid1k, params33, monkeypatc
     monkeypatch.setattr(RadialOperator, "solve_tridiag", broken)
     with pytest.raises(TypeError, match="broken tridiagonal solve"):
         normalized_gradient_flow(params33, grid1k, tol=1e-8)
+
+
+@pytest.mark.parametrize("broken", ["negative-profile", "mass-drift", "origin-value"])
+def test_broken_wave_invariant_is_a_numerical_failure(wave1k, broken):
+    # a solver result that breaks an invariant is not a configuration error
+    from dataclasses import replace
+
+    if broken == "negative-profile":
+        change = {"v": wave1k.v.with_values(-wave1k.v.values)}
+    elif broken == "mass-drift":
+        change = {"gamma": 2.0 * wave1k.gamma}
+    else:
+        change = {"v0": 0.0}
+    with pytest.raises(ConvergenceError) as err:
+        replace(wave1k, **change)
+    assert not isinstance(err.value, ParameterError)
+    assert {"min_value", "mass_mu", "gamma", "v0", "residual"} <= set(err.value.diagnostics)

@@ -20,16 +20,29 @@ def cayley_reference(op, potential, v, dt):
     return solve_banded((1, 1), ab, rhs)
 
 
-@pytest.mark.parametrize("precomputed_rhs", [False, True])
+# ids keep the names of the cases with a potential, which were parametrised
+# by precomputed_rhs alone
+@pytest.mark.parametrize("with_potential, precomputed_rhs", [
+    pytest.param(True, False, id="False"),
+    pytest.param(True, True, id="True"),
+    pytest.param(False, False, id="no-potential"),
+])
 @pytest.mark.parametrize("grading", ["log", "uniform"])
-def test_solve_cayley_matches_banded_reference(grading, precomputed_rhs, params33):
+def test_solve_cayley_matches_banded_reference(grading, with_potential, precomputed_rhs,
+                                               params33):
+    # without a potential solve_cayley back-substitutes with cached factors
+    # of the fixed matrix; alternating dt checks that they follow dt
     op = RadialOperator(build_grid(2048, 1e-6, 50.0, grading), params33)
     n = op.grid.n
     rng = np.random.default_rng(11)
-    for dt in (1e-3, 2e-2):
+    for dt in (1e-3, 2e-2, 1e-3):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         potential = 10.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         rhs = op.cayley_rhs(v, dt) if precomputed_rhs else None
-        x = op.solve_cayley(potential, v, dt, rhs)
-        ref = cayley_reference(op, potential, v, dt)
+        if with_potential:
+            x = op.solve_cayley(potential, v, dt, rhs)
+            ref = cayley_reference(op, potential, v, dt)
+        else:
+            x = op.solve_cayley(None, v, dt, rhs)
+            ref = cayley_reference(op, np.zeros(n), v, dt)
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
