@@ -237,7 +237,7 @@ def _cmd_evolve(args) -> int:
 
     op = RadialOperator(grid, params)  # one per run: its linear-stage factors are reused
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
-    state = initial_state(v0, params, op)
+    state = initial_state(v0, params)
     nonlinear = not cfg["linear"]
     n_chunks = 20
     chunk = max(cfg["steps"] // n_chunks, 1)

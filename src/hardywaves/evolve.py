@@ -21,12 +21,15 @@ eta_k = theta_k / (1 - theta_k), the distance of the iterate from the
 fixed point is about eta_k err_k, and the iteration stops once that is
 below a tenth of the tolerance.  The first update of a step has no ratio
 yet and uses eta_0 = max(eta_old, 2.2e-16)^0.8, where eta_old is the
-last eta measured in an earlier step (1 before any).  On a perturbed
-standing wave this takes one Cayley solve per step at delta = 0 and two
-at delta = 1e-3 and 1e-2, where the plain test needs three.  The last two
-fields and eta_old travel with the state, so chained ``propagate`` calls
-iterate across chunk boundaries exactly as one long call does.  The
-potential-free part of the right-hand side is built once per step.
+last eta of the previous step (1 before any, and after a change of dt):
+a step that stops after one solve passes eta_0 on, so an estimate that is
+not measured again drifts back toward 1 until the iteration re-measures
+it.  On a perturbed standing wave this takes about 1.14 Cayley solves
+per step at delta = 0 and two at delta = 1e-3 and 1e-2, where the plain
+test needs three.  The last two fields and eta_old travel with the
+state, so chained ``propagate`` calls iterate across chunk boundaries
+exactly as one long call does.  The potential-free part of the
+right-hand side is built once per step.
 
 Stages without potential (linear Crank-Nicolson and Strang's linear
 stage) have a fixed matrix, which the operator factors once per dt;
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import BlowupError, ParameterError, StepError
 from .operators import RadialOperator
-from .radial import Field, Params
+from .radial import Field, Params, RadialGrid
 
 __all__ = ["EvolutionState", "initial_state", "propagate", "invariants"]
 
@@ -66,9 +69,9 @@ class EvolutionState:
     """Complex field at one instant, with its conserved-quantity baselines.
 
     ``history`` holds the field values of the last two steps, newest first,
-    and ``eta`` the last contraction estimate theta / (1 - theta) measured
-    by the midpoint iteration; both only seed the next step's iteration and
-    are never written out.
+    and ``eta`` the midpoint iteration's last contraction estimate
+    theta / (1 - theta), made at step size ``eta_dt``; they only seed the
+    next step's iteration and are never written out.
     """
 
     v: Field
@@ -77,15 +80,12 @@ class EvolutionState:
     energy0: float
     history: tuple = field(default=(), repr=False, compare=False)
     eta: float = field(default=1.0, repr=False, compare=False)
+    eta_dt: float = field(default=0.0, repr=False, compare=False)
 
 
-def initial_state(v: Field, params: Params, op: RadialOperator | None = None) -> EvolutionState:
-    """Wrap initial data, recording charge and energy baselines.
-
-    ``op``, when given, is the operator of (v.grid, params).
-    """
-    if op is None:
-        op = RadialOperator(v.grid, params)
+def initial_state(v: Field, params: Params) -> EvolutionState:
+    """Wrap initial data, recording charge and energy baselines."""
+    op = RadialOperator(v.grid, params)
     vals = op.check_field(v).astype(complex)
     return EvolutionState(
         v=v.with_values(vals),
@@ -98,9 +98,11 @@ def initial_state(v: Field, params: Params, op: RadialOperator | None = None) ->
 def invariants(
     state: EvolutionState, params: Params, op: RadialOperator | None = None
 ) -> tuple[float, float]:
-    """(charge, energy) of the current field: mu-mass and E_g."""
-    if op is None:
-        op = RadialOperator(state.v.grid, params)
+    """(charge, energy) of the current field: mu-mass and E_g.
+
+    ``op``, when given, is the operator of (state.v.grid, params).
+    """
+    op = _operator(state.v.grid, params, op)
     vals = op.check_field(state.v)
     return op.mass(vals), op.energy(vals)
 
@@ -128,10 +130,11 @@ def propagate(
         raise ParameterError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if nonlinear:
         params.require_subcritical("nonlinear propagation")
-    if op is None:
-        op = RadialOperator(state.v.grid, params)
+    op = _operator(state.v.grid, params, op)
     v = op.check_field(state.v).astype(complex)
-    history, eta = state.history, state.eta
+    history = state.history
+    # the contraction ratio grows with dt, so an estimate from another dt is void
+    eta = state.eta if state.eta_dt == dt else 1.0
     # charge is conserved to roundoff, so the baseline sets the tolerance scale
     scale = max(1.0, np.sqrt(state.charge0))
     for k in range(steps):
@@ -153,7 +156,17 @@ def propagate(
         time=state.time + dt * steps,
         history=history,
         eta=eta,
+        eta_dt=dt,
     )
+
+
+def _operator(grid: RadialGrid, params: Params, op: RadialOperator | None) -> RadialOperator:
+    """``op`` once it is checked to be built for params, else a new operator."""
+    if op is None:
+        return RadialOperator(grid, params)
+    if op.params != params:
+        raise ParameterError("operator was built for different parameters")
+    return op
 
 
 def _extrapolate(v: np.ndarray, history: tuple) -> np.ndarray:
@@ -170,8 +183,10 @@ def _cn_step(
 ) -> tuple[np.ndarray, float]:
     """One nonlinear Crank-Nicolson step.
 
-    Returns v_{n+1} and the last measured eta, which seeds the next step
-    (``eta_old`` unchanged when this step stopped after one solve).
+    Returns v_{n+1} and the step's last eta, which seeds the next step:
+    the measured one, or eta_0 when the step stopped after one solve, so
+    that a run of one-solve steps drifts back toward 1 and measures the
+    contraction again.
     """
     q = op.params.q
     tol = _FP_TOL * scale
@@ -189,9 +204,9 @@ def _cn_step(
         if err_old is not None:
             theta = err / err_old
             # without contraction there is no estimate, and only err < tol stops
-            eta = eta_old = theta / (1.0 - theta) if theta < 1.0 else np.inf
+            eta = theta / (1.0 - theta) if theta < 1.0 else np.inf
         if err < tol or eta * err <= _KAPPA * tol:
-            return v_next, eta_old
+            return v_next, eta
     raise StepError(
         "Crank-Nicolson midpoint iteration did not converge",
         diagnostics={

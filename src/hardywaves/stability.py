@@ -65,11 +65,12 @@ def orbit_distance(v: Field, sw: StandingWave, op: RadialOperator | None = None)
     The optimal phase is theta* = arg <v, v_g>_H, in closed form; the norm
     of the explicit difference v - e^{i theta*} v_g then avoids the
     catastrophic cancellation of the expanded formula near the orbit.
-    ``op``, when given, is an operator on the wave's grid in dimension N;
-    the energy norm depends on nothing else.
+    ``op``, when given, is the operator of the wave's grid and parameters.
     """
     if op is None:
         op = RadialOperator(sw.v.grid, sw.params)
+    elif op.params != sw.params:
+        raise ParameterError("operator was built for other parameters than the wave")
     a = op.check_field(v).astype(complex)
     b = sw.v.values.astype(complex)
     inner = op.h_inner(a, b)
@@ -92,14 +93,10 @@ def _perturbation(kind: str, op: RadialOperator, v_wave: np.ndarray) -> np.ndarr
     raise ParameterError(f"unknown perturbation kind {kind!r}; choose from {PERTURBATION_KINDS}")
 
 
-def perturbed_field(
-    sw: StandingWave, delta: float, kind: str, op: RadialOperator | None = None
-) -> Field:
+def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
     """Standing wave plus a delta-sized energy-norm perturbation, renormalised
-    back to mass gamma (the beta-normalisation device).  ``op``, when given,
-    is an operator on the wave's grid in dimension N."""
-    if op is None:
-        op = RadialOperator(sw.v.grid, sw.params)
+    back to mass gamma (the beta-normalisation device)."""
+    op = RadialOperator(sw.v.grid, sw.params)
     v_wave = np.real(sw.v.values)
     v = v_wave.astype(complex)
     if delta != 0.0:
@@ -123,14 +120,16 @@ def stability_experiment(
 ) -> StabilityRun:
     """Perturb, evolve to time T, and sample the orbit distance at
     n_samples (>= 100 by contract) uniformly spaced times.  One operator
-    serves the whole run: perturbation, propagation and every sample."""
+    serves the propagation and every sample of the run."""
     if delta < 0.0:
         raise ParameterError("perturbation size must be nonnegative")
     params.require_subcritical("stability experiments")
     n_samples = max(int(n_samples), 100)
     op = RadialOperator(sw.v.grid, params)
+    # distances are measured in the wave's own energy norm
+    wave_op = op if sw.params == params else RadialOperator(sw.v.grid, sw.params)
 
-    state = initial_state(perturbed_field(sw, delta, perturbation_kind, op), params, op)
+    state = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
     steps_per_sample = max(1, int(round(T / (n_samples * dt))))
     times = np.empty(n_samples)
     distances = np.empty(n_samples)
@@ -140,7 +139,7 @@ def stability_experiment(
     for k in range(n_samples):
         state = propagate(state, params, dt, steps_per_sample, op=op)
         times[k] = state.time
-        distances[k] = orbit_distance(state.v, sw, op)
+        distances[k] = orbit_distance(state.v, sw, wave_op)
         charge, energy = invariants(state, params, op)
         charge_drift[k] = abs(charge - state.charge0) / state.charge0
         energy_drift[k] = abs(energy - state.energy0) / energy_scale

@@ -204,6 +204,18 @@ def _midpoint_fixed_point(op, v, v_next, dt, iterations=6):
     return v_next
 
 
+def _worst_midpoint_error(op, state, dt, steps):
+    """Propagate one step at a time; return the state and the largest
+    distance of a returned field from its step's midpoint fixed point."""
+    worst = 0.0
+    for _ in range(steps):
+        v = state.v.values
+        state = propagate(state, op.params, dt, 1, op=op)
+        exact = _midpoint_fixed_point(op, v, state.v.values, dt)
+        worst = max(worst, np.sqrt(op.mass(state.v.values - exact)))
+    return state, worst
+
+
 @pytest.mark.parametrize("kind", ["radial-bump", "phase-ramp"])
 @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
 def test_midpoint_stop_is_within_tolerance(wave2k, params33, kind, delta, monkeypatch):
@@ -212,14 +224,9 @@ def test_midpoint_stop_is_within_tolerance(wave2k, params33, kind, delta, monkey
     # tolerance from the fixed point; an unguarded estimate from the
     # previous step's contraction ratio breaks this at radial-bump, 1e-2
     op = RadialOperator(wave2k.v.grid, params33)
-    state = initial_state(perturbed_field(wave2k, delta, kind), params33, op)
+    state = initial_state(perturbed_field(wave2k, delta, kind), params33)
     tol = _FP_TOL * max(1.0, np.sqrt(state.charge0))
-    worst = 0.0
-    for _ in range(100):
-        v = state.v.values
-        state = propagate(state, params33, 1e-3, 1, op=op)
-        exact = _midpoint_fixed_point(op, v, state.v.values, 1e-3)
-        worst = max(worst, np.sqrt(op.mass(state.v.values - exact)))
+    _, worst = _worst_midpoint_error(op, state, 1e-3, 100)
     assert worst <= tol
     if delta == 1e-2:
         # the plain test needs a third solve per step to see convergence
@@ -227,3 +234,33 @@ def test_midpoint_stop_is_within_tolerance(wave2k, params33, kind, delta, monkey
         propagate(initial_state(perturbed_field(wave2k, delta, kind), params33), params33,
                   1e-3, 100)
         assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("calm_steps, calm_dt", [(10, 1e-3), (1, 2e-3)])
+@pytest.mark.parametrize("kind", ["radial-bump", "phase-ramp"])
+def test_kicked_run_does_not_trust_a_stale_contraction(wave2k, params33, kind, calm_steps,
+                                                       calm_dt):
+    # on the orbit the updates are phase rotations, which leave the
+    # potential unchanged, so the carried contraction estimate is ~1e-11;
+    # once the run is kicked off the orbit, that estimate must fade (each
+    # step that stops after one solve weakens it) or be dropped (it was
+    # made at another dt), else one-solve steps land up to 1e3 tolerances
+    # away from the fixed point
+    op = RadialOperator(wave2k.v.grid, params33)
+    calm = propagate(initial_state(wave2k.v, params33), params33, calm_dt, calm_steps, op=op)
+    kicked = propagate(initial_state(perturbed_field(wave2k, 1e-2, kind), params33), params33,
+                       1e-3, 2, op=op)
+    state = replace(calm, v=kicked.v, history=kicked.history)
+    _, worst = _worst_midpoint_error(op, state, 1e-3, 50)
+    assert worst <= _FP_TOL * max(1.0, np.sqrt(state.charge0))
+
+
+def test_operator_must_match_parameters(wave2k, params33):
+    other = RadialOperator(wave2k.v.grid, Params(N=3, q=3.2, gamma=1.0))
+    state = initial_state(wave2k.v, params33)
+    with pytest.raises(ParameterError):
+        propagate(state, params33, 1e-3, 1, op=other)
+    with pytest.raises(ParameterError):
+        invariants(state, params33, other)
+    with pytest.raises(ParameterError):
+        orbit_distance(wave2k.v, wave2k, other)
