@@ -97,6 +97,17 @@ class WeightSpec:
         profile = radii**omega_zero * (1.0 + radii) ** (omega_inf - omega_zero)
         return cls(omega_zero=omega_zero, omega_inf=omega_inf, radii=radii, profile=profile)
 
+    def __eq__(self, other) -> bool:
+        # by value: the generated field-tuple comparison cannot compare arrays
+        if not isinstance(other, WeightSpec):
+            return NotImplemented
+        return (
+            self.omega_zero == other.omega_zero
+            and self.omega_inf == other.omega_inf
+            and np.array_equal(self.radii, other.radii)
+            and np.array_equal(self.profile, other.profile)
+        )
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if not np.any(self.profile > 0.0):

@@ -27,12 +27,12 @@ import numpy as np
 from . import __version__
 from .checks import WeightSpec, check_ckn, check_hardy, check_ihs, check_weight_condition
 from .errors import HardyWavesError, ParameterError
-from .evolve import initial_state, invariants, propagate
+from .evolve import SCHEMES, initial_state, invariants, propagate
 from .groundstate import normalized_gradient_flow, origin_behavior
 from .kelvin import kelvin_verify
 from .operators import RadialOperator
 from .radial import Field, Params, build_grid, to_u
-from .stability import stability_experiment
+from .stability import PERTURBATION_KINDS, stability_experiment
 
 OUTDIR_ENV = "HARDYWAVES_OUTDIR"
 
@@ -113,16 +113,13 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-_KNOWN_KEYS = {
-    "N", "q", "gamma", "n", "r_min", "r_max", "grading", "seed", "outdir",
-    "tol", "max_iter", "dt", "steps", "scheme", "linear", "T", "delta",
-    "kind", "samples", "h_kind", "omega_zero", "omega_inf", "which",
-}
-
-
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags; reject unknown keys."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    """Merge defaults <- config file <- explicit flags; reject unknown keys.
+
+    The output directory is --outdir, else the config file's ``outdir``,
+    else $HARDYWAVES_OUTDIR, else the working directory.
+    """
+    file_cfg = _load_config_file(args.config)
     for key in file_cfg:
         if key not in _KNOWN_KEYS:
             raise CLIUsageError(f"unknown config field: {key}")
@@ -134,7 +131,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             f"config field(s) {sorted(extra)} not applicable to this command"
         )
     for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     if cfg.get("outdir") is None:
@@ -142,56 +139,23 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _error_outdir(args: argparse.Namespace) -> Path:
-    """Directory for error.json, resolved as ``_resolve`` does: --outdir, then
-    the config file, then $HARDYWAVES_OUTDIR, then the working directory."""
-    outdir = getattr(args, "outdir", None)
-    if outdir is None:
-        outdir = _load_config_file(getattr(args, "config", None)).get("outdir")
-    if outdir is None:
-        outdir = os.environ.get(OUTDIR_ENV, ".")
-    return Path(outdir)
-
-
-def _params_from(cfg: dict, weight=None) -> Params:
-    return Params(N=cfg["N"], q=cfg["q"], gamma=cfg.get("gamma", 1.0), weight=weight)
+def _params_from(cfg: dict) -> Params:
+    return Params(N=cfg["N"], q=cfg["q"], gamma=cfg["gamma"])
 
 
 def _grid_from(cfg: dict):
-    return build_grid(cfg["n"], cfg["r_min"], cfg["r_max"], cfg.get("grading", "log"))
-
-
-_GRID_DEFAULTS = {"n": 8192, "r_min": 1e-6, "r_max": 50.0, "grading": "log"}
-
-
-def _add_common(p: _Parser, gamma: bool = True) -> None:
-    p.add_argument("--config", help="JSON config document")
-    p.add_argument("--N", type=int)
-    p.add_argument("--q", type=float)
-    if gamma:
-        p.add_argument("--gamma", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r-min", dest="r_min", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--grading", choices=("log", "uniform"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--outdir")
+    return build_grid(cfg["n"], cfg["r_min"], cfg["r_max"], cfg["grading"])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the resolved config, the output directory and the
+# hash/version stamp; its docstring is its --help line
 
 
-def _cmd_ground_state(args) -> int:
-    defaults = dict(N=3, q=3.0, gamma=1.0, seed=0, tol=1e-6, max_iter=50000,
-                    outdir=None, **_GRID_DEFAULTS)
-    cfg = _resolve(args, defaults)
+def _cmd_ground_state(cfg: dict, outdir: Path, meta: dict) -> int:
+    """solve the constrained minimisation"""
     params = _params_from(cfg)
     grid = _grid_from(cfg)
-    meta = {"config_sha256": config_hash(cfg), "version": __version__}
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"], max_iter=cfg["max_iter"])
     exponent, v0 = origin_behavior(sw)
     u = to_u(sw.v, params.N)
@@ -225,16 +189,10 @@ def _free_gaussian(grid, t: float) -> np.ndarray:
     return np.exp(-grid.nodes**2 / (2.0 * z)) / z
 
 
-def _cmd_evolve(args) -> int:
-    defaults = dict(N=3, q=3.0, gamma=1.0, seed=0, dt=1e-3, steps=1000,
-                    scheme="crank-nicolson", linear=False, outdir=None, **_GRID_DEFAULTS)
-    cfg = _resolve(args, defaults)
+def _cmd_evolve(cfg: dict, outdir: Path, meta: dict) -> int:
+    """propagate a Gaussian in the transformed variable"""
     params = _params_from(cfg)
     grid = _grid_from(cfg)
-    meta = {"config_sha256": config_hash(cfg), "version": __version__}
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
     op = RadialOperator(grid, params)  # one per run: its linear-stage factors are reused
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
     state = initial_state(v0, params)
@@ -284,17 +242,11 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _cmd_stability(args) -> int:
-    defaults = dict(N=3, q=3.0, gamma=1.0, seed=0, delta=[1e-2], kind="radial-bump",
-                    T=20.0, dt=1e-3, tol=1e-6, outdir=None, **_GRID_DEFAULTS)
-    cfg = _resolve(args, defaults)
+def _cmd_stability(cfg: dict, outdir: Path, meta: dict) -> int:
+    """perturb a standing wave and track orbit distance"""
     params = _params_from(cfg)
     params.require_subcritical("the stability command")
     grid = _grid_from(cfg)
-    meta = {"config_sha256": config_hash(cfg), "version": __version__}
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"])
     deltas = cfg["delta"] if isinstance(cfg["delta"], (list, tuple)) else [cfg["delta"]]
     per_delta = []
@@ -324,18 +276,10 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    defaults = dict(N=3, q=3.0, gamma=1.0, seed=42, samples=1000,
-                    h_kind="piecewise-quadratic", omega_zero=0.0, omega_inf=-2.0,
-                    outdir=None, **_GRID_DEFAULTS)
-    cfg = _resolve(args, defaults)
-    which = args.which
-    cfg["which"] = which
-    meta = {"config_sha256": config_hash(cfg), "version": __version__}
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_check(cfg: dict, outdir: Path, meta: dict) -> int:
+    """run an inequality or weight-condition check"""
+    which = cfg["which"]
     grid = _grid_from(cfg)
-
     if which == "hardy":
         report = check_hardy(cfg["samples"], cfg["seed"], cfg["N"], grid=grid)
         payload = {
@@ -365,15 +309,13 @@ def _cmd_check(args) -> int:
         }
         _write_json(outdir / "check_weight.json", {**payload, "n_samples": 0, **meta})
         return 0
-    elif which == "ihs":
+    else:  # ihs; argparse restricts the choices
         report = check_ihs(cfg["samples"], cfg["seed"], cfg["N"], h_kind=cfg["h_kind"], grid=grid)
         payload = {
             "min_ratio": report.min_ratio,
             "empirical_constant": report.empirical_constant,
             "passed": report.min_ratio > 0.0,
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise CLIUsageError(f"unknown check {which!r}")
     payload["n_samples"] = cfg["samples"]
     if getattr(report, "violating_sample", None) is not None:
         payload["violating_sample"] = report.violating_sample
@@ -381,13 +323,8 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_kelvin_verify(args) -> int:
-    defaults = dict(N=3, seed=7, samples=100, n=4096, r_min=1e-5, r_max=1e5,
-                    grading="log", outdir=None)
-    cfg = _resolve(args, defaults)
-    meta = {"config_sha256": config_hash(cfg), "version": __version__}
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_kelvin_verify(cfg: dict, outdir: Path, meta: dict) -> int:
+    """involution and norm-equivalence checks"""
     grid = _grid_from(cfg)
     report = kelvin_verify(grid, cfg["N"], cfg["samples"], cfg["seed"])
     report["passed"] = (
@@ -398,76 +335,82 @@ def _cmd_kelvin_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# command table
+
+
+_SHARED_DEFAULTS = dict(N=3, q=3.0, gamma=1.0, seed=0, outdir=None,
+                        n=8192, r_min=1e-6, r_max=50.0, grading="log")
+
+# command -> (handler, defaults).  Every default key is a config field and a
+# flag --key (with "_" -> "-"); the values are the ones FORMATS.md lists.
+_COMMANDS = {
+    "ground-state": (_cmd_ground_state, dict(_SHARED_DEFAULTS, tol=1e-6, max_iter=50000)),
+    "evolve": (_cmd_evolve, dict(_SHARED_DEFAULTS, dt=1e-3, steps=1000,
+                                 scheme="crank-nicolson", linear=False)),
+    "stability": (_cmd_stability, dict(_SHARED_DEFAULTS, delta=[1e-2], kind="radial-bump",
+                                       T=20.0, dt=1e-3, tol=1e-6)),
+    "check": (_cmd_check, dict(_SHARED_DEFAULTS, seed=42, samples=1000,
+                               h_kind="piecewise-quadratic", omega_zero=0.0, omega_inf=-2.0)),
+    "kelvin-verify": (_cmd_kelvin_verify, dict(N=3, seed=7, samples=100, n=4096, r_min=1e-5,
+                                               r_max=1e5, grading="log", outdir=None)),
+}
+
+# fixed choices of config keys, and of check's positional ``which``
+_CHOICES = {
+    "grading": ("log", "uniform"),
+    "scheme": SCHEMES,
+    "kind": PERTURBATION_KINDS,
+    "h_kind": ("piecewise-quadratic", "log-weight"),
+    "which": ("hardy", "ckn", "weight", "ihs"),
+}
+
+_KNOWN_KEYS = {"which"}.union(*(defaults for _, defaults in _COMMANDS.values()))
+
+
+def _add_flag(p: _Parser, key: str, default) -> None:
+    """--key, typed by the key's default; None marks an unset flag."""
+    flag = "--" + key.replace("_", "-")
+    if isinstance(default, bool):
+        p.add_argument(flag, action="store_const", const=True)
+    elif isinstance(default, list):
+        p.add_argument(flag, type=float, nargs="+")
+    elif key in _CHOICES:
+        p.add_argument(flag, choices=_CHOICES[key])
+    else:
+        p.add_argument(flag, type=str if default is None else type(default))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hardywaves", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ground-state", help="solve the constrained minimisation")
-    _add_common(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(func=_cmd_ground_state)
-
-    p = sub.add_parser("evolve", help="propagate a Gaussian in the transformed variable")
-    _add_common(p)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--scheme", choices=("crank-nicolson", "strang-splitting"))
-    p.add_argument("--linear", action="store_const", const=True)
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("stability", help="perturb a standing wave and track orbit distance")
-    _add_common(p)
-    p.add_argument("--delta", type=float, nargs="+")
-    p.add_argument("--kind", choices=("radial-bump", "phase-ramp", "mass-preserving-deformation"))
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("check", help="run an inequality or weight-condition check")
-    p.add_argument("which", choices=("hardy", "ckn", "weight", "ihs"))
-    _add_common(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--h-kind", dest="h_kind", choices=("piecewise-quadratic", "log-weight"))
-    p.add_argument("--omega-zero", dest="omega_zero", type=float)
-    p.add_argument("--omega-inf", dest="omega_inf", type=float)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("kelvin-verify", help="involution and norm-equivalence checks")
-    p.add_argument("--config", help="JSON config document")
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r-min", dest="r_min", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--outdir")
-    p.set_defaults(func=_cmd_kelvin_verify)
-
+    for name, (handler, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        if name == "check":
+            p.add_argument("which", choices=_CHOICES["which"])
+        p.add_argument("--config", help="JSON config document")
+        for key, default in defaults.items():
+            _add_flag(p, key, default)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CLIUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        handler, defaults = _COMMANDS[args.command]
+        cfg = _resolve(args, defaults)
+        if "which" in args:
+            cfg["which"] = args.which
+        meta = {"config_sha256": config_hash(cfg), "version": __version__}
+        outdir = Path(cfg["outdir"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        return handler(cfg, outdir, meta)
     except CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except HardyWavesError as exc:
-        outdir = _error_outdir(args)
-        outdir.mkdir(parents=True, exist_ok=True)
+    except HardyWavesError as exc:  # raised by a handler, so outdir exists
         payload = {
             "error": type(exc).__name__,
             "message": str(exc),

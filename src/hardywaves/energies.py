@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .operators import RadialOperator, singular_weight
-from .radial import Field, Params, log_time_coordinate, unit_ball_volume
+from .operators import RadialOperator, cell_stiffness, dirichlet_form, singular_weight
+from .radial import Field, Params, check_dimension, origin_intercept, unit_ball_volume
 
 __all__ = [
     "EnergyReport",
@@ -58,13 +58,21 @@ def weighted_dirichlet(v: Field, N: int) -> float:
     zero-extension tail cell beyond r_max; exact for fields piecewise linear
     in that coordinate.
     """
-    op = _dirichlet_operator(v.grid, N)
-    return op.dirichlet(v.values)
+    N = check_dimension(N)
+    return N * unit_ball_volume(N) * dirichlet_form(cell_stiffness(v.grid), v.values)
 
 
-def _dirichlet_operator(grid, N: int) -> RadialOperator:
-    # q is irrelevant for the Dirichlet/mass forms; any admissible value works
-    return RadialOperator(grid, Params(N=N, q=2.0 + 2.0 / N))
+def hardy_cells(u: Field, N: int) -> np.ndarray:
+    """Per-cell Hardy integrand of u with cell-midpoint differences in log r,
+    without the sphere factor: cell i spans nodes i and i+1."""
+    x = u.grid.log_nodes
+    h = np.diff(x)
+    vals = u.values
+    alpha2 = ((N - 2) / 2.0) ** 2
+    x_mid = 0.5 * (x[:-1] + x[1:])
+    du = np.diff(vals) / h
+    u_mid = 0.5 * (vals[:-1] + vals[1:])
+    return (np.abs(du) ** 2 - alpha2 * np.abs(u_mid) ** 2) * np.exp((N - 2) * x_mid) * h
 
 
 def hardy_functional_u(u: Field, N: int, eps: float) -> float:
@@ -78,18 +86,12 @@ def hardy_functional_u(u: Field, N: int, eps: float) -> float:
     grid = u.grid
     if eps < grid.r_min:
         raise DomainError(f"eps={eps} below the grid's r_min={grid.r_min}")
+    total = float(np.sum(hardy_cells(u, N)[grid.nodes[:-1] >= eps]))
+    # zero ghost cell beyond r_max, same width as the last cell
     x = grid.log_nodes
-    h = np.diff(x)
     vals = u.values
     alpha2 = ((N - 2) / 2.0) ** 2
-    x_mid = 0.5 * (x[:-1] + x[1:])
-    du = np.diff(vals) / h
-    u_mid = 0.5 * (vals[:-1] + vals[1:])
-    cells = (np.abs(du) ** 2 - alpha2 * np.abs(u_mid) ** 2) * np.exp((N - 2) * x_mid) * h
-    keep = grid.nodes[:-1] >= eps
-    total = float(np.sum(cells[keep]))
-    # zero ghost cell beyond r_max, same width as the last cell
-    ht = h[-1]
+    ht = x[-1] - x[-2]
     xt = x[-1] + 0.5 * ht
     total += (np.abs(vals[-1] / ht) ** 2 - alpha2 * np.abs(0.5 * vals[-1]) ** 2) * np.exp(
         (N - 2) * xt
@@ -125,14 +127,7 @@ def surface_term_limit(u: Field, N: int) -> float:
     at the origin are smooth; requires r_min < 1.
     """
     grid = u.grid
-    if grid.r_min >= 1.0:
-        raise DomainError("surface-term limit needs grid nodes below r = 1")
-    eps = grid.nodes[:3]
-    t = log_time_coordinate(eps, N)
-    lam = np.array([surface_term(u, N, e) for e in eps])
-    design = np.vstack([np.ones_like(t), t]).T
-    coef, *_ = np.linalg.lstsq(design, lam, rcond=None)
-    return float(coef[0])
+    return origin_intercept(np.array([surface_term(u, N, e) for e in grid.nodes[:3]]), grid, N)
 
 
 def nonlinear_term(v: Field, params: Params) -> float:

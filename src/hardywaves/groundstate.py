@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgError
 from .energies import EnergyReport, energy_J
 from .errors import ConvergenceError, DomainError, ParameterError
 from .operators import RadialOperator
-from .radial import Field, Params, RadialGrid, log_time_coordinate, to_u, unit_ball_volume
+from .radial import Field, Params, RadialGrid, origin_intercept, to_u, unit_ball_volume
 
 __all__ = [
     "StandingWave",
@@ -110,16 +110,6 @@ def _quotient_multiplier(op: RadialOperator, v: np.ndarray) -> float:
 
 def _renormalize(op: RadialOperator, v: np.ndarray, gamma: float) -> np.ndarray:
     return v * np.sqrt(gamma / op.mass(v))
-
-
-def _origin_value(v: np.ndarray, grid: RadialGrid, N: int) -> float:
-    """Extrapolate v to the origin: linear fit in t on the three smallest nodes."""
-    if grid.r_min >= 1.0:
-        raise DomainError("origin extrapolation needs grid nodes below r = 1")
-    t = log_time_coordinate(grid.nodes[:3], N)
-    design = np.vstack([np.ones_like(t), t]).T
-    coef, *_ = np.linalg.lstsq(design, v[:3], rcond=None)
-    return float(coef[0])
 
 
 def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
@@ -283,7 +273,7 @@ def _package(
 ):
     v_field = Field(values=v, grid=grid)
     report = energy_J(v_field, params)
-    v0 = _origin_value(v, grid, params.N)
+    v0 = origin_intercept(v[:3], grid, params.N)
     lam_origin = 0.5 * params.N * (params.N - 2) * unit_ball_volume(params.N) * v0**2
     return StandingWave(
         v=v_field,
@@ -320,7 +310,7 @@ def fit_origin(u: Field, N: int, fit_window: tuple[float, float] | None = None):
         raise DomainError("profile vanishes inside the origin fit window")
     slope = np.polyfit(np.log(grid.nodes[mask]), np.log(uu), 1)[0]
     v_vals = np.real(u.values) * grid.nodes ** ((N - 2) / 2.0)
-    v0 = _origin_value(v_vals, grid, N)
+    v0 = origin_intercept(v_vals[:3], grid, N)
     return float(slope), float(v0)
 
 

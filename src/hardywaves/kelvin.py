@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import hardy_functional_u, surface_term_limit
+from .checks import random_fields
+from .energies import hardy_cells, hardy_functional_u, surface_term_limit
 from .errors import ShapeError
-from .radial import Field, RadialGrid, unit_ball_volume
+from .radial import Field, RadialGrid, integrate_mu, to_v, unit_ball_volume
 
 __all__ = [
     "DualField",
@@ -97,15 +98,20 @@ def w_norm(dual: DualField, N: int) -> WNormReport:
     """
     grid = dual.w.grid
     w_vals = dual.w.values
-    hardy = _hardy_inside(dual.w, N, grid.r_max)
     sphere = N * unit_ball_volume(N)
+    cells = hardy_cells(dual.w, N)
+
+    def hardy_inside(radius: float) -> float:
+        return sphere * float(np.sum(cells[grid.nodes[1:] <= radius]))
+
+    hardy = hardy_inside(grid.r_max)
     weighted_mass = sphere * grid.quadrature(grid.nodes ** (N - 6) * np.abs(w_vals) ** 2)
 
     radii = grid.nodes[-3:]
     tail_hardy = []
     tail_surface = []
     for radius in radii:
-        tail_hardy.append(_hardy_inside(dual.w, N, radius))
+        tail_hardy.append(hardy_inside(radius))
         idx = int(np.searchsorted(grid.nodes, radius))
         tail_surface.append(
             0.5 * (N - 2) * sphere * radius ** (N - 2) * float(np.abs(w_vals[idx]) ** 2)
@@ -118,21 +124,6 @@ def w_norm(dual: DualField, N: int) -> WNormReport:
         tail_hardy=tuple(tail_hardy),
         tail_surface=tuple(tail_surface),
     )
-
-
-def _hardy_inside(w: Field, N: int, radius: float) -> float:
-    """Hardy functional over the ball r <= radius (cell-midpoint form)."""
-    grid = w.grid
-    x = grid.log_nodes
-    h = np.diff(x)
-    vals = w.values
-    alpha2 = ((N - 2) / 2.0) ** 2
-    x_mid = 0.5 * (x[:-1] + x[1:])
-    du = np.diff(vals) / h
-    u_mid = 0.5 * (vals[:-1] + vals[1:])
-    cells = (np.abs(du) ** 2 - alpha2 * np.abs(u_mid) ** 2) * np.exp((N - 2) * x_mid) * h
-    keep = grid.nodes[1:] <= radius
-    return N * unit_ball_volume(N) * float(np.sum(cells[keep]))
 
 
 def lambda_infinity(dual: DualField, N: int) -> float:
@@ -149,23 +140,11 @@ def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
     """Numerical checks used by tests and the CLI: involution error,
     W-vs-H norm agreement on random fields, and the sign structure of the
     truncated norms."""
-    from .radial import integrate_mu, to_v
-
-    rng = np.random.default_rng(seed)
-    x = grid.log_nodes
-    lo, hi = x[0] + np.log(10.0), x[-1] - np.log(10.0)
-    alpha = (N - 2) / 2.0
-
+    decay = np.exp(-(N - 2) / 2.0 * grid.log_nodes)
     worst_inv = 0.0
     worst_iso = 0.0
-    for _ in range(samples):
-        profile = np.zeros(grid.n)
-        for _ in range(int(rng.integers(3, 9))):
-            center = rng.uniform(lo, hi)
-            width = rng.uniform(0.25, 0.6)
-            sign = -1.0 if rng.random() < 0.5 else 1.0
-            profile += sign * rng.uniform(0.5, 1.5) * np.exp(-(((x - center) / width) ** 2))
-        w_field = Field(values=np.exp(-alpha * x) * profile, grid=grid)
+    for _, _, bumps in random_fields(grid, samples, seed):
+        w_field = Field(values=decay * bumps.values, grid=grid)
         dual = DualField.from_field(w_field)
         psi = kelvin_transform(dual, N)
         back = kelvin_transform(DualField.from_field(psi), N)

@@ -54,6 +54,11 @@ def cell_stiffness(grid: RadialGrid) -> np.ndarray:
     return s
 
 
+def dirichlet_form(s: np.ndarray, v: np.ndarray) -> float:
+    """sum_i s_i |v_{i+1} - v_i|^2 + s_n |v_n|^2, without the sphere factor."""
+    return float(np.sum(s[:-1] * np.abs(np.diff(v)) ** 2) + s[-1] * np.abs(v[-1]) ** 2)
+
+
 def singular_weight(grid: RadialGrid, params: Params) -> np.ndarray:
     """Nodal samples of the nonlinear weight r^{-(q-2)(N-2)/2} g(r).
 
@@ -89,10 +94,7 @@ class RadialOperator:
         return self.sphere * complex(np.sum(self.mass_diag * a * np.conj(b)))
 
     def dirichlet(self, v: np.ndarray) -> float:
-        dv = np.diff(v)
-        return self.sphere * float(
-            np.sum(self.s[:-1] * np.abs(dv) ** 2) + self.s[-1] * np.abs(v[-1]) ** 2
-        )
+        return self.sphere * dirichlet_form(self.s, v)
 
     def dirichlet_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         da, db = np.diff(a), np.diff(b)

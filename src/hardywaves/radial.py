@@ -37,6 +37,13 @@ def unit_ball_volume(N: int) -> float:
     return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
 
 
+def check_dimension(N) -> int:
+    """N as an int, once it is checked to be an integer >= 3."""
+    if int(N) != N or N < 3:
+        raise ParameterError(f"dimension N must be an integer >= 3, got {N}")
+    return int(N)
+
+
 def critical_exponent(N: int) -> float:
     """Critical Sobolev exponent 2N/(N-2)."""
     return 2.0 * N / (N - 2.0)
@@ -58,9 +65,7 @@ class Params:
     weight: "object | None" = None  # WeightSpec from checks.py, or None for g == 1
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 3:
-            raise ParameterError(f"dimension N must be an integer >= 3, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", check_dimension(self.N))
         qmax = critical_exponent(self.N)
         if not (2.0 < self.q < qmax):
             raise ParameterError(
@@ -236,6 +241,17 @@ def log_time_coordinate(r, N: int):
         raise DomainError("log_time_coordinate requires 0 < r < 1")
     t = (-np.log(r_arr)) ** (-1.0 / (N - 2))
     return float(t) if np.isscalar(r) else t
+
+
+def origin_intercept(samples, grid: RadialGrid, N: int) -> float:
+    """Value at r = 0 of the least-squares line in t = log_time_coordinate(r)
+    through samples at the three smallest nodes; needs r_min < 1."""
+    if grid.r_min >= 1.0:
+        raise DomainError("origin extrapolation needs grid nodes below r = 1")
+    t = log_time_coordinate(grid.nodes[:3], N)
+    design = np.vstack([np.ones_like(t), t]).T
+    coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
+    return float(coef[0])
 
 
 def integrate_mu(samples, grid: RadialGrid, N: int) -> float:

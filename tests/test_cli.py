@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardywaves import cli
 from hardywaves.cli import main
 
 
@@ -174,7 +175,7 @@ def test_invalid_solver_wave_is_numerical_failure(tmp_path, monkeypatch, capsys)
     # invariant: exit 2 with error.json, not the exit 1 of a config error
     import hardywaves.groundstate as groundstate
 
-    monkeypatch.setattr(groundstate, "_origin_value", lambda v, grid, N: -1.0)
+    monkeypatch.setattr(groundstate, "origin_intercept", lambda v, grid, N: -1.0)
     out = tmp_path / "bad_wave"
     code = run_cli(["ground-state", *SMALL_GRID, "--tol", "1e-8", "--outdir", str(out)])
     assert code == 2
@@ -182,3 +183,63 @@ def test_invalid_solver_wave_is_numerical_failure(tmp_path, monkeypatch, capsys)
     payload = read_json(out / "error.json")
     assert payload["error"] == "ConvergenceError"
     assert payload["diagnostics"]["v0"] == -1.0
+
+
+def _flag_value(key, default):
+    """(flag arguments, expected config value) for a value other than the default."""
+    if isinstance(default, bool):
+        return [], True
+    if isinstance(default, list):
+        return ["0.5", "0.25"], [0.5, 0.25]
+    if key in cli._CHOICES:
+        value = next(c for c in reversed(cli._CHOICES[key]) if c != default)
+        return [value], value
+    if default is None:
+        return ["somewhere"], "somewhere"
+    value = default + type(default)(1)
+    return [repr(value)], value
+
+
+TABLE = [(name, key) for name, (_, defaults) in cli._COMMANDS.items() for key in defaults]
+
+
+def _command_args(name):
+    return [name, "hardy"] if name == "check" else [name]
+
+
+@pytest.mark.parametrize("name,key", TABLE)
+def test_every_table_key_is_a_flag(name, key):
+    defaults = cli._COMMANDS[name][1]
+    extra, expected = _flag_value(key, defaults[key])
+    flag = "--" + key.replace("_", "-")
+    args = cli.build_parser().parse_args([*_command_args(name), flag, *extra])
+    assert cli._resolve(args, defaults)[key] == expected
+
+
+@pytest.mark.parametrize("name,key", TABLE)
+def test_every_table_key_is_a_config_field(name, key, tmp_path):
+    defaults = cli._COMMANDS[name][1]
+    _, expected = _flag_value(key, defaults[key])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: expected}))
+    args = cli.build_parser().parse_args([*_command_args(name), "--config", str(config)])
+    assert cli._resolve(args, defaults)[key] == expected
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_other_commands_key_is_rejected(name, tmp_path, capsys):
+    defaults = cli._COMMANDS[name][1]
+    foreign = min(cli._KNOWN_KEYS - set(defaults) - {"which"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({foreign: 1}))
+    assert run_cli([*_command_args(name), "--config", str(config),
+                    "--outdir", str(tmp_path / "out")]) == 1
+    assert "not applicable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kelvin_verify_grading_flag(tmp_path):
+    out = tmp_path / "kv"
+    assert run_cli(["kelvin-verify", "--n", "256", "--samples", "2", "--grading", "log",
+                    "--outdir", str(out)]) == 0
+    assert read_json(out / "kelvin_verify.json")["passed"] is True

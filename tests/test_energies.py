@@ -6,6 +6,7 @@ from hardywaves import (
     DegenerateInputError,
     DomainError,
     Field,
+    ParameterError,
     Params,
     WeightSpec,
     build_grid,
@@ -207,3 +208,10 @@ def test_lagrange_multiplier_scaling_algebra(grid2k, params33):
 def test_lagrange_multiplier_zero_mass(grid2k, params33):
     with pytest.raises(DegenerateInputError):
         lagrange_multiplier(Field(values=np.zeros(grid2k.n), grid=grid2k), params33)
+
+
+@pytest.mark.parametrize("N", [2, 3.5])
+def test_weighted_dirichlet_rejects_invalid_dimension(N):
+    grid = build_grid(64, 1e-3, 10.0)
+    with pytest.raises(ParameterError):
+        weighted_dirichlet(Field(values=np.exp(-grid.nodes**2), grid=grid), N)

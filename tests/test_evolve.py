@@ -264,3 +264,15 @@ def test_operator_must_match_parameters(wave2k, params33):
         invariants(state, params33, other)
     with pytest.raises(ParameterError):
         orbit_distance(wave2k.v, wave2k, other)
+
+
+def test_operator_with_other_weight_radii_is_rejected(grid2k):
+    from hardywaves import WeightSpec
+
+    params = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
+    other = RadialOperator(
+        grid2k, Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0, r_min=1e-6))
+    )
+    v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
+    with pytest.raises(ParameterError):
+        propagate(initial_state(v0, params), params, 1e-3, 1, op=other)

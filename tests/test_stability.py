@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hardywaves import Field, ShapeError, build_grid, orbit_distance, stability_experiment
+from hardywaves import (
+    Field,
+    Params,
+    ShapeError,
+    WeightSpec,
+    build_grid,
+    normalized_gradient_flow,
+    orbit_distance,
+    stability_experiment,
+)
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import PERTURBATION_KINDS, perturbed_field
 
@@ -78,3 +87,14 @@ def test_stability_requires_subcritical(wave2k):
 
     with pytest.raises(ParameterError):
         stability_experiment(Params(N=3, q=4.0), wave2k, 1e-2, T=1.0)
+
+
+def test_stability_with_equal_weight_specs():
+    # equal but distinct weight specs compare by value, so the wave's
+    # parameters match the run's instead of raising on an array comparison
+    grid = build_grid(512, 1e-4, 30.0)
+    pa = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
+    pb = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
+    assert pa == pb
+    run = stability_experiment(pb, normalized_gradient_flow(pa, grid), 1e-3, T=0.1, dt=1e-3)
+    assert run.max_distance < 1e-2
