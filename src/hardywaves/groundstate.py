@@ -99,13 +99,21 @@ def elliptic_residual(v: Field, lam: float, params: Params) -> float:
     return _residual_norm(op, np.real(v.values), lam)
 
 
-def _residual_norm(op: RadialOperator, v: np.ndarray, lam: float) -> float:
-    res = op.laplacian_like(v) + lam * v - op.w_sing * np.abs(v) ** (op.params.q - 2) * v
+def _nonlinear_term(op: RadialOperator, v: np.ndarray) -> np.ndarray:
+    return op.w_sing * np.abs(v) ** (op.params.q - 2) * v
+
+
+def _residual_norm(op: RadialOperator, v: np.ndarray, lam: float, nl_vec=None) -> float:
+    if nl_vec is None:
+        nl_vec = _nonlinear_term(op, v)
+    res = op.laplacian_like(v) + lam * v - nl_vec
     return float(np.sqrt(op.sphere * np.sum(op.mass_diag * res**2)))
 
 
-def _quotient_multiplier(op: RadialOperator, v: np.ndarray) -> float:
-    return (op.params.q * op.nonlinear(v) - op.dirichlet(v)) / op.mass(v)
+def _j_and_multiplier(op: RadialOperator, v: np.ndarray) -> tuple[float, float]:
+    """(J, quotient multiplier) of v from one evaluation of each form."""
+    d, nl, m = op.dirichlet(v), op.nonlinear(v), op.mass(v)
+    return (0.5 * d - nl) + 0.5 * m, (op.params.q * nl - d) / m
 
 
 def _renormalize(op: RadialOperator, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -116,17 +124,18 @@ def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
     """Bordered Newton on (stationary equation, mass constraint).
 
     Accepts steps only when the residual norm strictly decreases (Armijo on
-    the residual); returns the improved iterate either way.  Targets a
-    fraction of the tolerance so that converged runs land with margin
-    rather than just under the threshold.
+    the residual); returns the improved iterate either way, with why it
+    stopped: "tol", "linalg", "denominator", "line-search" or "max-steps".
+    Targets a fraction of the tolerance so that converged runs land with
+    margin rather than just under the threshold.
     """
     q = op.params.q
     rn = _residual_norm(op, v, lam)
     j_vals = []
     for _ in range(max_steps):
         if rn < 0.2 * tol:
-            break
-        nl_vec = op.w_sing * np.abs(v) ** (q - 2) * v
+            return v, lam, rn, j_vals, "tol"
+        nl_vec = _nonlinear_term(op, v)
         g1 = op.stiffness_apply(v) + op.mass_diag * (lam * v - nl_vec)
         g2 = op.mass(v) - gamma
         jac_diag = lam - (q - 1) * op.w_sing * np.abs(v) ** (q - 2)
@@ -134,12 +143,12 @@ def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
         try:
             sol = op.solve_tridiag(jac_diag, rhs)
         except LinAlgError:
-            break
+            return v, lam, rn, j_vals, "linalg"
         a, b = sol[:, 0], sol[:, 1]
         mv = op.mass_diag * v
         denom = 2.0 * op.sphere * float(np.sum(mv * b))
         if denom == 0.0 or not np.isfinite(denom):
-            break
+            return v, lam, rn, j_vals, "denominator"
         dlam = (2.0 * op.sphere * float(np.sum(mv * a)) + g2) / denom
         dv = a - dlam * b
         step = 1.0
@@ -155,8 +164,8 @@ def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
                     break
             step *= 0.5
         if not accepted:
-            break
-    return v, lam, rn, j_vals
+            return v, lam, rn, j_vals, "line-search"
+    return v, lam, rn, j_vals, "max-steps"
 
 
 def normalized_gradient_flow(
@@ -190,67 +199,65 @@ def normalized_gradient_flow(
     v = _renormalize(op, v, gamma)
 
     dt = dt0
-    j_val = op.functional_j(v)
+    j_val, lam = _j_and_multiplier(op, v)
     j_history = [j_val]       # flow iterates: J-monotone by backtracking
     polish_history: list = []  # Newton root-finder trace: tracks the residual, not J
-    lam = _quotient_multiplier(op, v)
-    rn = _residual_norm(op, v, lam)
+    nl_vec = _nonlinear_term(op, v)  # of the current v: residual and next step share it
+    rn = _residual_norm(op, v, lam, nl_vec)
     switch = 1e-3
     iterations = 0
+    polish_stop = None
 
     while iterations < max_iter:
         if rn < tol:
             break
         if rn < switch:
-            v_new, lam_new, rn_new, j_tail = _newton_polish(op, v.copy(), lam, gamma, tol)
+            v_new, _, rn_new, j_tail, polish_stop = _newton_polish(op, v, lam, gamma, tol)
             if rn_new < rn:
-                v, lam, rn = v_new, lam_new, rn_new
-                j_val = op.functional_j(v)
+                # the flow goes on with the quotient multiplier, not Newton's
+                v, rn = v_new, rn_new
+                j_val, lam = _j_and_multiplier(op, v)
+                nl_vec = _nonlinear_term(op, v)
                 polish_history.extend(j_tail)
             if rn < tol:
                 break
             # Newton stalled above tol: demand a deeper flow start before retrying
             switch = max(rn / 10.0, tol)
         iterations += 1
-        lam = _quotient_multiplier(op, v)
-        nl_vec = op.w_sing * np.abs(v) ** (params.q - 2) * v
         rhs = op.mass_diag * (v + dt * (nl_vec - lam * v))
         v_try = op.solve_spd(0.0, rhs, dt)
         v_try = _renormalize(op, v_try, gamma)
-        j_try = op.functional_j(v_try)
+        j_try, lam_try = _j_and_multiplier(op, v_try)
         if j_try <= j_val + _J_MONO_TOL:
-            v, j_val = v_try, j_try
+            v, j_val, lam = v_try, j_try, lam_try
             # a partial Newton detour may sit above the recorded minimum;
             # flow steps re-enter the monotone record once they descend past it
             if j_val <= j_history[-1] + _J_MONO_TOL:
                 j_history.append(j_val)
             else:
                 polish_history.append(j_val)
-            lam = _quotient_multiplier(op, v)
-            rn = _residual_norm(op, v, lam)
+            nl_vec = _nonlinear_term(op, v)
+            rn = _residual_norm(op, v, lam, nl_vec)
             dt = min(dt * 1.1, dt_max)
         else:
             dt = max(dt / 2.0, 1e-6)
 
     if rn >= tol:
+        diagnostics = {"residual": rn, "iterations": iterations, "J": j_val, "lambda": lam,
+                       "dt": dt}
+        if polish_stop is not None:  # why the last Newton polish gave up
+            diagnostics["polish_stop"] = polish_stop
         raise ConvergenceError(
             f"gradient flow stalled at residual {rn:.3e} after {iterations} iterations "
             f"(tolerance {tol:.1e}); on fine near-origin grids the float64 residual "
             "floor may exceed the requested tolerance",
-            diagnostics={
-                "residual": rn,
-                "iterations": iterations,
-                "J": j_val,
-                "lambda": lam,
-                "dt": dt,
-            },
+            diagnostics=diagnostics,
         )
 
     # guard the constraint against polish roundoff, then re-measure
     v = _renormalize(op, v, gamma)
-    lam = _quotient_multiplier(op, v)
+    j_final, lam = _j_and_multiplier(op, v)  # j_final: the converged value, lowest of the run
     rn = _residual_norm(op, v, lam)
-    j_final = op.functional_j(v)  # the converged value; lowest of the run
     if j_final <= j_history[-1] + _J_MONO_TOL:
         j_history.append(j_final)
     else:  # cannot happen for a true minimum; keep the record honest anyway
@@ -381,12 +388,12 @@ def oracle_minimize(
                 break
             v, j_val = v_try, j_try
             alpha = min(alpha * 1.5, 1e4)
-        rn = _residual_norm(op, v, _quotient_multiplier(op, v))
+        rn = _residual_norm(op, v, _j_and_multiplier(op, v)[1])
         if best is None or (j_val, rn) < (best[0], best[1]):
             best = (j_val, rn, v)
 
     j_best, rn_best, v_best = best
-    lam = _quotient_multiplier(op, v_best)
+    lam = _j_and_multiplier(op, v_best)[1]
     return _package(
         op, grid, params, v_best, lam, rn_best, restarts, (j_best,), converged=False
     )

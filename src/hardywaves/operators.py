@@ -23,15 +23,17 @@ used downstream.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
 
 from .errors import ShapeError
 from .radial import Field, Params, RadialGrid, unit_ball_volume
 
 __all__ = ["RadialOperator", "cell_stiffness", "singular_weight"]
 
-# complex tridiagonal LAPACK routines, called directly by the Cayley stage:
-# gtsv solves with a potential, gttrf/gttrs factor the fixed matrix once
+# tridiagonal LAPACK routines, called directly: ptsv for the SPD solve, and
+# for the Cayley stage gtsv with a potential, gttrf/gttrs to factor the fixed
+# matrix once
+_DPTSV, = get_lapack_funcs(("ptsv",), dtype=np.float64)
 _ZGTSV, _ZGTTRF, _ZGTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np.complex128)
 
 
@@ -139,11 +141,11 @@ class RadialOperator:
 
     def solve_spd(self, diag_extra: np.ndarray | float, rhs: np.ndarray, dt: float) -> np.ndarray:
         """Solve (M * (1 + dt*diag_extra) + dt K) x = rhs, SPD tridiagonal."""
-        n = self.grid.n
-        ab = np.zeros((2, n))
-        ab[0, 1:] = dt * self.k_lower
-        ab[1] = self.mass_diag * (1.0 + dt * np.asarray(diag_extra)) + dt * self.k_diag
-        return solveh_banded(ab, rhs)
+        d = self.mass_diag * (1.0 + dt * np.asarray(diag_extra)) + dt * self.k_diag
+        _, _, x, info = _DPTSV(d, dt * self.k_lower, rhs, 1, 1)
+        if info != 0:
+            raise LinAlgError(f"SPD tridiagonal solve failed (dptsv info={info})")
+        return x
 
     def solve_tridiag(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + diag(M * diag)) x = rhs with general (possibly indefinite) diag."""

@@ -243,3 +243,63 @@ def test_kelvin_verify_grading_flag(tmp_path):
     assert run_cli(["kelvin-verify", "--n", "256", "--samples", "2", "--grading", "log",
                     "--outdir", str(out)]) == 0
     assert read_json(out / "kelvin_verify.json")["passed"] is True
+
+
+def _csv_reference(path, header, columns, meta):
+    """The row-at-a-time writer: csv.writer rows of _fmt-formatted floats."""
+    import csv
+
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([cli._fmt(x) for x in row])
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
+def test_write_csv_matches_csv_writer_reference(rows, tmp_path):
+    # block edges of the writer, and values whose spelling is easy to get wrong
+    rng = np.random.default_rng(rows)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-17]
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+               for _ in range(3)]
+    for k, col in enumerate(columns):
+        idx = rng.integers(0, rows, len(special))
+        col[idx] = np.roll(special, k)
+    columns.append(np.arange(rows, dtype=float))
+    meta = {"config_sha256": "0" * 64, "version": "test"}
+    header = ["a", "b", "c", "index"]
+    cli._write_csv(tmp_path / "fast.csv", header, columns, meta)
+    _csv_reference(tmp_path / "ref.csv", header, columns, meta)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_spells_every_special_value(tmp_path):
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300])
+    meta = {"config_sha256": "0" * 64, "version": "test"}
+    cli._write_csv(tmp_path / "fast.csv", ["x"], [values], meta)
+    _csv_reference(tmp_path / "ref.csv", ["x"], [values], meta)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert fast.split(b"\n", 1)[1] == (b"x\r\nnan\r\ninf\r\n-inf\r\n-0\r\n"
+                                         b"4.9406564584124654e-324\r\n1.0000000000000001e+300\r\n")
+
+
+@pytest.mark.parametrize("which", ["hardy", "ckn", "ihs", "weight"])
+def test_check_rejects_bad_dimension(which, tmp_path, capsys):
+    # N = 2 used to reach critical_exponent and divide by zero in ihs and weight
+    out = tmp_path / "check"
+    assert run_cli(["check", which, "--N", "2", "--n", "256", "--samples", "2",
+                    "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / f"check_{which}.json").exists()
+
+
+@pytest.mark.parametrize("N", ["1", "2"])
+def test_kelvin_verify_rejects_bad_dimension(N, tmp_path, capsys):
+    out = tmp_path / "kv"
+    assert run_cli(["kelvin-verify", "--N", N, "--n", "256", "--samples", "2",
+                    "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "kelvin_verify.json").exists()

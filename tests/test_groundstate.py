@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from hardywaves import (
     ConvergenceError,
@@ -196,3 +197,41 @@ def test_broken_wave_invariant_is_a_numerical_failure(wave1k, broken):
         replace(wave1k, **change)
     assert not isinstance(err.value, ParameterError)
     assert {"min_value", "mass_mu", "gamma", "v0", "residual"} <= set(err.value.diagnostics)
+
+
+def test_flow_pins_and_evaluates_each_iterate_once(grid1k, params33, monkeypatch):
+    # the values are those of the flow that evaluated every iterate up to
+    # three times; evaluating once must not move a single bit
+    calls = []
+    nonlinear = RadialOperator.nonlinear
+
+    def counted(self, v):
+        calls.append(1)
+        return nonlinear(self, v)
+
+    monkeypatch.setattr(RadialOperator, "nonlinear", counted)
+    sw = normalized_gradient_flow(params33, grid1k, tol=1e-8)
+    assert sw.lam == 0.001803792564736484
+    assert sw.energies.J == 0.500141526849327
+    assert sw.residual == 3.633139024218204e-10
+    assert sw.iterations == 59
+    assert len(sw.j_history) == 61
+    assert len(calls) <= sw.iterations + 50
+
+
+def test_polish_stop_cause_in_convergence_error(grid1k, params33, monkeypatch):
+    # a singular Jacobian ends every polish; the flow alone runs out of
+    # iterations, and the error says why the last polish stopped
+    def singular(self, diag, rhs):
+        raise LinAlgError("singular Jacobian")
+
+    monkeypatch.setattr(RadialOperator, "solve_tridiag", singular)
+    with pytest.raises(ConvergenceError) as err:
+        normalized_gradient_flow(params33, grid1k, tol=1e-8, max_iter=80)
+    assert err.value.diagnostics["polish_stop"] == "linalg"
+
+
+def test_polish_stop_absent_when_polish_never_ran(grid1k, params33):
+    with pytest.raises(ConvergenceError) as err:
+        normalized_gradient_flow(params33, grid1k, tol=1e-8, max_iter=5)
+    assert "polish_stop" not in err.value.diagnostics

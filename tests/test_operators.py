@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from hardywaves import build_grid
 from hardywaves.operators import RadialOperator
@@ -46,3 +46,30 @@ def test_solve_cayley_matches_banded_reference(grading, with_potential, precompu
             x = op.solve_cayley(None, v, dt, rhs)
             ref = cayley_reference(op, np.zeros(n), v, dt)
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("extra_kind", ["zero", "scalar", "array"])
+@pytest.mark.parametrize("grading", ["log", "uniform"])
+def test_solve_spd_matches_banded_reference(grading, extra_kind, params33):
+    # solveh_banded sends a two-row band to ptsv as well: the direct call
+    # must give the same bits
+    op = RadialOperator(build_grid(2048, 1e-6, 50.0, grading), params33)
+    n = op.grid.n
+    rng = np.random.default_rng(5)
+    extra = {"zero": 0.0, "scalar": 1.0, "array": rng.uniform(-0.5, 2.0, n)}[extra_kind]
+    for dt in (1e-3, 0.7, 1.0):
+        rhs = rng.standard_normal(n)
+        kept = rhs.copy()
+        ab = np.zeros((2, n))
+        ab[0, 1:] = dt * op.k_lower
+        ab[1] = op.mass_diag * (1.0 + dt * np.asarray(extra)) + dt * op.k_diag
+        ref = solveh_banded(ab, rhs)
+        x = op.solve_spd(extra, rhs, dt)
+        assert np.array_equal(x, ref)
+        assert np.array_equal(rhs, kept)  # the right-hand side is left alone
+
+
+def test_solve_spd_raises_on_indefinite_matrix(params33):
+    op = RadialOperator(build_grid(256, 1e-4, 30.0), params33)
+    with pytest.raises(LinAlgError):
+        op.solve_spd(-1e6, np.ones(op.grid.n), 1.0)
