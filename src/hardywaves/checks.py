@@ -166,6 +166,8 @@ def random_fields(
     rng = np.random.default_rng(seed)
     if support is None:
         support = (10.0 * grid.r_min, grid.r_max / 10.0)
+    if support[0] > support[1]:
+        raise ParameterError(f"empty sample support {support}: needs r_max / r_min >= 100")
     lo, hi = np.log(support[0]), np.log(support[1])
     x = grid.log_nodes
     for k in range(count):

@@ -39,13 +39,13 @@ def reciprocal_grid(grid: RadialGrid) -> RadialGrid:
         t[-1] *= 0.5
         weights = t * nodes**2
         return RadialGrid(nodes=nodes, weights=weights, grading="log", log_nodes=x)
-    # uniform grids invert to non-uniform ones; keep trapezoid weights in r
+    # other grids invert to non-uniform ones; keep trapezoid weights in r
     t = np.empty(grid.n)
     dr = np.diff(nodes)
     t[0] = dr[0] / 2
     t[-1] = dr[-1] / 2
     t[1:-1] = (dr[:-1] + dr[1:]) / 2
-    return RadialGrid(nodes=nodes, weights=t * nodes, grading="uniform", log_nodes=x)
+    return RadialGrid(nodes=nodes, weights=t * nodes, grading="nonuniform", log_nodes=x)
 
 
 @dataclass(frozen=True)

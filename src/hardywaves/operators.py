@@ -46,7 +46,7 @@ def cell_stiffness(grid: RadialGrid) -> np.ndarray:
     if grid.grading == "log":
         h = grid.log_step
         return np.full(grid.n, 1.0 / h)
-    # uniform grading: int_cell r dr / dr^2 = (r_{i+1}^2 - r_i^2) / (2 dr^2)
+    # any other grading: int_cell r dr / dr^2 = (r_{i+1}^2 - r_i^2) / (2 dr^2)
     r = grid.nodes
     dr = np.diff(r)
     s = np.empty(grid.n)

@@ -99,9 +99,10 @@ class RadialGrid:
     ``weights`` realise the trapezoid rule in the grid's native coordinate
     (log r or r), applied to the transformed integrand, so that
     ``sum(weights * f(nodes))`` approximates ``int f(r) r dr`` at second
-    order, with positive weights.  ``log_nodes`` is kept alongside ``nodes``
-    because several operations (stencils, reciprocal grids) are exact in the
-    log coordinate.
+    order, with positive weights.  ``grading`` is "log" (uniform in log r),
+    "uniform" (in r) or "nonuniform" (the reciprocal of a uniform grid).
+    ``log_nodes`` is kept alongside ``nodes`` because several operations
+    (stencils, reciprocal grids) are exact in the log coordinate.
     """
 
     nodes: np.ndarray

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evolve import initial_state, invariants, propagate
+from .evolve import _checkpoints, _operator, initial_state
 from .groundstate import StandingWave
 from .operators import RadialOperator
 from .radial import Field, Params
@@ -67,10 +67,7 @@ def orbit_distance(v: Field, sw: StandingWave, op: RadialOperator | None = None)
     catastrophic cancellation of the expanded formula near the orbit.
     ``op``, when given, is the operator of the wave's grid and parameters.
     """
-    if op is None:
-        op = RadialOperator(sw.v.grid, sw.params)
-    elif op.params != sw.params:
-        raise ParameterError("operator was built for other parameters than the wave")
+    op = _operator(sw.v.grid, sw.params, op)
     a = op.check_field(v).astype(complex)
     b = sw.v.values.astype(complex)
     inner = op.h_inner(a, b)
@@ -129,20 +126,14 @@ def stability_experiment(
     # distances are measured in the wave's own energy norm
     wave_op = op if sw.params == params else RadialOperator(sw.v.grid, sw.params)
 
-    state = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
+    start = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
     steps_per_sample = max(1, int(round(T / (n_samples * dt))))
-    times = np.empty(n_samples)
-    distances = np.empty(n_samples)
-    charge_drift = np.empty(n_samples)
-    energy_drift = np.empty(n_samples)
-    energy_scale = max(abs(state.energy0), 1e-300)
-    for k in range(n_samples):
-        state = propagate(state, params, dt, steps_per_sample, op=op)
-        times[k] = state.time
-        distances[k] = orbit_distance(state.v, sw, wave_op)
-        charge, energy = invariants(state, params, op)
-        charge_drift[k] = abs(charge - state.charge0) / state.charge0
-        energy_drift[k] = abs(energy - state.energy0) / energy_scale
+    chunks = [steps_per_sample] * n_samples
+    samples = [
+        (state.time, orbit_distance(state.v, sw, wave_op), charge_drift, energy_drift)
+        for state, _, _, charge_drift, energy_drift in _checkpoints(start, params, dt, chunks, op)
+    ]
+    times, distances, charge_drift, energy_drift = np.array(samples).T
     return StabilityRun(
         delta=delta,
         times=times,

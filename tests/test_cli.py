@@ -192,7 +192,8 @@ def _flag_value(key, default):
     if isinstance(default, list):
         return ["0.5", "0.25"], [0.5, 0.25]
     if key in cli._CHOICES:
-        value = next(c for c in reversed(cli._CHOICES[key]) if c != default)
+        # a key with a single choice can only take that one
+        value = next((c for c in reversed(cli._CHOICES[key]) if c != default), default)
         return [value], value
     if default is None:
         return ["somewhere"], "somewhere"
@@ -300,6 +301,68 @@ def test_check_rejects_bad_dimension(which, tmp_path, capsys):
 def test_kelvin_verify_rejects_bad_dimension(N, tmp_path, capsys):
     out = tmp_path / "kv"
     assert run_cli(["kelvin-verify", "--N", N, "--n", "256", "--samples", "2",
+                    "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "kelvin_verify.json").exists()
+
+
+def test_strang_scheme_flag_is_rejected(tmp_path, capsys):
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", *SMALL_GRID, "--steps", "4", "--scheme", "strang-splitting",
+                    "--outdir", str(out)]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,fields", [
+    (["evolve", "--steps", "4"], {"scheme": "strang-splitting"}),
+    # at delta = 0 no perturbation is built, so nothing else looks at the kind
+    (["stability", "--T", "0.01"], {"kind": "no-such-kind", "delta": [0.0]}),
+    (["ground-state"], {"grading": "cubic"}),
+], ids=["scheme", "kind", "grading"])
+def test_config_file_choice_is_checked(command, fields, tmp_path, capsys):
+    # only argparse checked the choices of flags; a file value went through
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    assert run_cli([*command, *SMALL_GRID, "--config", str(config), "--outdir", str(out)]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_checkpoints_with_remainder_chunk(tmp_path):
+    # 207 steps: 20 chunks of 10 and a remainder of 7, after the t = 0 row
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", *SMALL_GRID, "--steps", "207", "--dt", "2e-3",
+                    "--outdir", str(out)]) == 0
+    lines = (out / "evolve_trajectory.csv").read_text().splitlines()
+    assert lines[1] == "t,charge,energy,charge_drift,energy_drift"
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    assert rows.shape == (22, 5)
+    steps = np.r_[0, np.arange(10, 201, 10), 207]
+    assert rows[:, 0] == pytest.approx(2e-3 * steps, rel=1e-12, abs=0.0)
+    assert rows[0, 3] == 0.0 and rows[0, 4] == 0.0
+    summary = read_json(out / "evolve_summary.json")
+    assert summary["final_time"] == rows[-1, 0]
+    assert summary["charge_drift"] == np.max(rows[:, 3])
+    assert summary["energy_drift"] == np.max(rows[:, 4])
+
+
+@pytest.mark.parametrize("command", [["check", "hardy"], ["kelvin-verify"]],
+                         ids=["check-hardy", "kelvin-verify"])
+def test_empty_sample_support_is_config_error(command, tmp_path, capsys):
+    # bumps are centred in [10 r_min, r_max / 10], empty when r_max / r_min < 100
+    out = tmp_path / "out"
+    assert run_cli([*command, "--r-min", "0.5", "--r-max", "2", "--n", "256",
+                    "--samples", "2", "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
+def test_kelvin_verify_rejects_uniform_grading(tmp_path, capsys):
+    # a uniform grid cannot resolve the log-r ensemble, so the check could not pass
+    out = tmp_path / "kv"
+    assert run_cli(["kelvin-verify", "--n", "256", "--samples", "2", "--grading", "uniform",
                     "--outdir", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / "kelvin_verify.json").exists()
