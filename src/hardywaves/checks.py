@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import hardy_functional_u, nonlinear_term, weighted_dirichlet
+from .energies import hardy_functional_u, weighted_dirichlet
 from .errors import ParameterError
+from .operators import RadialOperator
 from .radial import (
     Field,
     Params,
     RadialGrid,
-    build_grid,
     critical_exponent,
     integrate_mu,
     to_u,
@@ -152,10 +152,6 @@ class WeightConditionReport:
         return self.admissible
 
 
-def _default_grid(n: int = 8192) -> RadialGrid:
-    return build_grid(n, 1e-6, 50.0)
-
-
 def random_fields(
     grid: RadialGrid,
     count: int,
@@ -187,7 +183,7 @@ def check_hardy(
     sample_count: int,
     seed: int,
     N: int,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
 ) -> InequalityReport:
     """Sampled discrete Hardy inequality with its optimal constant.
 
@@ -195,7 +191,6 @@ def check_hardy(
     min_ratio records the smallest I(u) found (PASS when >= -1e-8) and
     empirical_constant the worst relative identity mismatch.
     """
-    grid = grid or _default_grid()
     min_i = np.inf
     worst_mismatch = 0.0
     violating = None
@@ -217,20 +212,18 @@ def check_hardy(
     )
 
 
-def _ckn_ratio(v: Field, params_plain: Params) -> float:
-    lhs = params_plain.q * nonlinear_term(v, params_plain)
-    dirichlet = weighted_dirichlet(v, params_plain.N)
-    mass = integrate_mu(np.abs(v.values) ** 2, v.grid, params_plain.N)
-    e_dir = params_plain.N * (params_plain.q - 2.0) / 4.0
-    e_mass = (2.0 * params_plain.q - params_plain.N * (params_plain.q - 2.0)) / 4.0
-    return lhs / (dirichlet**e_dir * mass**e_mass)
+def _ckn_ratio(op: RadialOperator, v: np.ndarray) -> float:
+    N, q = op.params.N, op.params.q
+    e_dir = N * (q - 2.0) / 4.0
+    e_mass = (2.0 * q - N * (q - 2.0)) / 4.0
+    return q * op.nonlinear(v) / (op.dirichlet(v) ** e_dir * op.mass(v) ** e_mass)
 
 
 def check_ckn(
     sample_count: int,
     seed: int,
     params: Params,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
 ) -> InequalityReport:
     """Weighted interpolation inequality: empirical constant over samples of
 
@@ -239,12 +232,12 @@ def check_ckn(
     Both sides are q-homogeneous and dilation-balanced, so the ratio is
     scale-free; PASS when the maximum is finite and refinement-stable.
     """
-    grid = grid or _default_grid()
-    plain = Params(N=params.N, q=params.q, gamma=params.gamma)  # the inequality has g == 1
+    # the inequality has g == 1
+    op = RadialOperator(grid, Params(N=params.N, q=params.q, gamma=params.gamma))
     worst = 0.0
     least = np.inf
     for _, _, v in random_fields(grid, sample_count, seed):
-        ratio = _ckn_ratio(v, plain)
+        ratio = _ckn_ratio(op, v.values)
         worst = max(worst, ratio)
         least = min(least, ratio)
     return InequalityReport(
@@ -303,8 +296,8 @@ def check_ihs(
     sample_count: int,
     seed: int,
     N: int,
+    grid: RadialGrid,
     h_kind: str = "piecewise-quadratic",
-    grid: RadialGrid | None = None,
 ) -> InequalityReport:
     """Improved Sobolev bound in the energy norm:
 
@@ -315,7 +308,6 @@ def check_ihs(
     only that c is strictly positive and refinement-stable.  For the
     log-weight kind, samples are confined to the ball where h is defined.
     """
-    grid = grid or _default_grid()
     two_star = critical_exponent(N)
     ball_radius = grid.r_max / 10.0
     support = None
@@ -325,7 +317,6 @@ def check_ihs(
     sphere = N * unit_ball_volume(N)
 
     least = np.inf
-    worst = 0.0
     violating = None
     for _, info, v in random_fields(grid, sample_count, seed, support=support):
         phi = to_u(v, N)
@@ -337,7 +328,6 @@ def check_ihs(
         if rhs_int <= 0.0:
             continue
         ratio = h_norm / rhs_int ** ((N - 2.0) / N)
-        worst = max(worst, ratio)
         if ratio < least:
             least = ratio
             if ratio <= 0.0:

@@ -118,6 +118,20 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
+def _has_default_type(val, default) -> bool:
+    """Whether a config-file value, uncoerced, has the type of its key's default."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if isinstance(default, bool):
+        return isinstance(val, bool)
+    if isinstance(default, int):
+        return number and isinstance(val, int)
+    if isinstance(default, float):
+        return number
+    if isinstance(default, list):
+        return number or (isinstance(val, list) and all(_has_default_type(x, 0.0) for x in val))
+    return isinstance(val, str)  # string keys, and outdir (default None)
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults <- config file <- explicit flags; reject unknown keys.
 
@@ -138,6 +152,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     for key, val in file_cfg.items():
         if key in _CHOICES and val not in _CHOICES[key]:
             raise CLIUsageError(f"invalid choice {val!r} for {key}; choose from {_CHOICES[key]}")
+        if not _has_default_type(val, defaults[key]):
+            raise CLIUsageError(f"config field {key} has the wrong type: {val!r}")
     for key in defaults:
         val = getattr(args, key)
         if val is not None:
@@ -409,7 +425,7 @@ def main(argv=None) -> int:
         payload = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "diagnostics": getattr(exc, "diagnostics", {}),
+            "diagnostics": exc.diagnostics,
         }
         _write_json(outdir / "error.json", payload)
         print(f"numerical failure: {exc}", file=sys.stderr)

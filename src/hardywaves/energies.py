@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .operators import RadialOperator, cell_stiffness, dirichlet_form, singular_weight
+from .operators import RadialOperator, cell_stiffness, dirichlet_form
 from .radial import Field, Params, check_dimension, origin_intercept, unit_ball_volume
 
 __all__ = [
@@ -135,14 +135,7 @@ def nonlinear_term(v: Field, params: Params) -> float:
 
     Equals (1/q) int g |u|^q dx for u = to_u(v); homogeneous of degree q.
     """
-    w_sing = singular_weight(v.grid, params)
-    integrand = w_sing * np.abs(v.values) ** params.q
-    return (
-        params.N
-        * unit_ball_volume(params.N)
-        / params.q
-        * v.grid.quadrature(integrand)
-    )
+    return RadialOperator(v.grid, params).nonlinear(v.values)
 
 
 def energy_J(v: Field, params: Params) -> EnergyReport:

@@ -2,7 +2,11 @@
 
 
 class HardyWavesError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; carries diagnostics (default empty)."""
+
+    def __init__(self, message="", diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class ParameterError(HardyWavesError, ValueError):
@@ -24,17 +28,9 @@ class DegenerateInputError(HardyWavesError, ValueError):
 class ConvergenceError(HardyWavesError, RuntimeError):
     """An iteration failed to converge; carries last-iterate diagnostics."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
 
 class StepError(HardyWavesError, RuntimeError):
     """A single time step failed; carries step diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class BlowupError(HardyWavesError, RuntimeError):

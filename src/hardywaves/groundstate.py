@@ -6,10 +6,12 @@ step
     (M + dt K) v~ = M (v + dt (N(v) - lambda(v) v)),    then renormalise,
 
 with the multiplier term included so that fixed points solve the discrete
-stationary equation exactly; dt backtracks on any energy increase, so the
+stationary equation exactly.  dt starts at 0.1, grows by 1.1 per accepted
+step up to 500 and halves (down to 1e-6) on any energy increase, so the
 accepted flow iterates are J-monotone.  Phase two polishes with a bordered
 Newton iteration on the stationary system plus the mass constraint
-(tridiagonal solves with one dense border row) and a residual line search.
+(tridiagonal solves with one dense border row), a residual line search and
+at most 120 steps per polish.
 The gradient flow alone crawls once the landscape flattens (for shallow
 wells the multiplier is of order 1e-3 and the soft-mode curvature far
 smaller), while Newton alone needs a warm start; the combination converges
@@ -44,6 +46,9 @@ __all__ = [
 
 _MASS_RTOL = 1e-10
 _J_MONO_TOL = 1e-12
+_FLOW_DT0 = 0.1
+_FLOW_DT_MAX = 500.0
+_NEWTON_MAX_STEPS = 120
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,6 @@ class StandingWave:
     residual: float
     iterations: int = 0
     j_history: tuple = field(default=(), repr=False)
-    polish_j_history: tuple = field(default=(), repr=False)
     converged: bool = True
 
     def __post_init__(self):
@@ -103,9 +107,16 @@ def _nonlinear_term(op: RadialOperator, v: np.ndarray) -> np.ndarray:
     return op.w_sing * np.abs(v) ** (op.params.q - 2) * v
 
 
+def _gradient(op: RadialOperator, v: np.ndarray, lam: float) -> np.ndarray:
+    """g = K v + M (lam v - N(v)), the gradient of J with multiplier lam."""
+    return op.stiffness_apply(v) + op.mass_diag * (lam * v - _nonlinear_term(op, v))
+
+
 def _residual_norm(op: RadialOperator, v: np.ndarray, lam: float, nl_vec=None) -> float:
     if nl_vec is None:
         nl_vec = _nonlinear_term(op, v)
+    # strong form M^{-1} K v + lam v - N(v), not M^{-1} g: it rounds differently,
+    # and the flow's lambda, J and residual are pinned to its bits
     res = op.laplacian_like(v) + lam * v - nl_vec
     return float(np.sqrt(op.sphere * np.sum(op.mass_diag * res**2)))
 
@@ -120,7 +131,7 @@ def _renormalize(op: RadialOperator, v: np.ndarray, gamma: float) -> np.ndarray:
     return v * np.sqrt(gamma / op.mass(v))
 
 
-def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
+def _newton_polish(op, v, lam, gamma, tol):
     """Bordered Newton on (stationary equation, mass constraint).
 
     Accepts steps only when the residual norm strictly decreases (Armijo on
@@ -131,24 +142,22 @@ def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
     """
     q = op.params.q
     rn = _residual_norm(op, v, lam)
-    j_vals = []
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_MAX_STEPS):
         if rn < 0.2 * tol:
-            return v, lam, rn, j_vals, "tol"
-        nl_vec = _nonlinear_term(op, v)
-        g1 = op.stiffness_apply(v) + op.mass_diag * (lam * v - nl_vec)
+            return v, rn, "tol"
+        g1 = _gradient(op, v, lam)
         g2 = op.mass(v) - gamma
         jac_diag = lam - (q - 1) * op.w_sing * np.abs(v) ** (q - 2)
         rhs = np.column_stack([-g1, op.mass_diag * v])
         try:
             sol = op.solve_tridiag(jac_diag, rhs)
         except LinAlgError:
-            return v, lam, rn, j_vals, "linalg"
+            return v, rn, "linalg"
         a, b = sol[:, 0], sol[:, 1]
         mv = op.mass_diag * v
         denom = 2.0 * op.sphere * float(np.sum(mv * b))
         if denom == 0.0 or not np.isfinite(denom):
-            return v, lam, rn, j_vals, "denominator"
+            return v, rn, "denominator"
         dlam = (2.0 * op.sphere * float(np.sum(mv * a)) + g2) / denom
         dv = a - dlam * b
         step = 1.0
@@ -159,13 +168,12 @@ def _newton_polish(op, v, lam, gamma, tol, max_steps=120):
                 rn_new = _residual_norm(op, v_new, lam + step * dlam)
                 if np.isfinite(rn_new) and rn_new < rn * (1.0 - 0.2 * step):
                     v, lam, rn = v_new, lam + step * dlam, rn_new
-                    j_vals.append(op.functional_j(v))
                     accepted = True
                     break
             step *= 0.5
         if not accepted:
-            return v, lam, rn, j_vals, "line-search"
-    return v, lam, rn, j_vals, "max-steps"
+            return v, rn, "line-search"
+    return v, rn, "max-steps"
 
 
 def normalized_gradient_flow(
@@ -174,8 +182,6 @@ def normalized_gradient_flow(
     init: Field | None = None,
     tol: float = 1e-8,
     max_iter: int = 50000,
-    dt0: float = 0.1,
-    dt_max: float = 500.0,
 ) -> StandingWave:
     """Minimise J over the sphere of mu-mass gamma; return the standing wave.
 
@@ -198,10 +204,9 @@ def normalized_gradient_flow(
             raise ParameterError("initial field must have positive mass")
     v = _renormalize(op, v, gamma)
 
-    dt = dt0
+    dt = _FLOW_DT0
     j_val, lam = _j_and_multiplier(op, v)
-    j_history = [j_val]       # flow iterates: J-monotone by backtracking
-    polish_history: list = []  # Newton root-finder trace: tracks the residual, not J
+    j_history = [j_val]  # flow iterates: J-monotone by backtracking
     nl_vec = _nonlinear_term(op, v)  # of the current v: residual and next step share it
     rn = _residual_norm(op, v, lam, nl_vec)
     switch = 1e-3
@@ -212,13 +217,12 @@ def normalized_gradient_flow(
         if rn < tol:
             break
         if rn < switch:
-            v_new, _, rn_new, j_tail, polish_stop = _newton_polish(op, v, lam, gamma, tol)
+            v_new, rn_new, polish_stop = _newton_polish(op, v, lam, gamma, tol)
             if rn_new < rn:
                 # the flow goes on with the quotient multiplier, not Newton's
                 v, rn = v_new, rn_new
                 j_val, lam = _j_and_multiplier(op, v)
                 nl_vec = _nonlinear_term(op, v)
-                polish_history.extend(j_tail)
             if rn < tol:
                 break
             # Newton stalled above tol: demand a deeper flow start before retrying
@@ -234,11 +238,9 @@ def normalized_gradient_flow(
             # flow steps re-enter the monotone record once they descend past it
             if j_val <= j_history[-1] + _J_MONO_TOL:
                 j_history.append(j_val)
-            else:
-                polish_history.append(j_val)
             nl_vec = _nonlinear_term(op, v)
             rn = _residual_norm(op, v, lam, nl_vec)
-            dt = min(dt * 1.1, dt_max)
+            dt = min(dt * 1.1, _FLOW_DT_MAX)
         else:
             dt = max(dt / 2.0, 1e-6)
 
@@ -258,26 +260,12 @@ def normalized_gradient_flow(
     v = _renormalize(op, v, gamma)
     j_final, lam = _j_and_multiplier(op, v)  # j_final: the converged value, lowest of the run
     rn = _residual_norm(op, v, lam)
-    if j_final <= j_history[-1] + _J_MONO_TOL:
+    if j_final <= j_history[-1] + _J_MONO_TOL:  # fails only short of a true minimum
         j_history.append(j_final)
-    else:  # cannot happen for a true minimum; keep the record honest anyway
-        polish_history.append(j_final)
-    return _package(
-        op,
-        grid,
-        params,
-        v,
-        lam,
-        rn,
-        iterations,
-        tuple(j_history),
-        polish_history=tuple(polish_history),
-    )
+    return _package(grid, params, v, lam, rn, iterations, tuple(j_history))
 
 
-def _package(
-    op, grid, params, v, lam, rn, iterations, j_history, polish_history=(), converged=True
-):
+def _package(grid, params, v, lam, rn, iterations, j_history, converged=True):
     v_field = Field(values=v, grid=grid)
     report = energy_J(v_field, params)
     v0 = origin_intercept(v[:3], grid, params.N)
@@ -293,12 +281,11 @@ def _package(
         residual=rn,
         iterations=iterations,
         j_history=j_history,
-        polish_j_history=polish_history,
         converged=converged,
     )
 
 
-def fit_origin(u: Field, N: int, fit_window: tuple[float, float] | None = None):
+def fit_origin(u: Field, N: int):
     """(power-law exponent, extrapolated v0) of a u-form profile.
 
     The exponent is the least-squares slope of log u against log r over
@@ -306,9 +293,7 @@ def fit_origin(u: Field, N: int, fit_window: tuple[float, float] | None = None):
     linearly in the origin coordinate t.
     """
     grid = u.grid
-    if fit_window is None:
-        fit_window = (10.0 * grid.r_min, 1e3 * grid.r_min)
-    lo, hi = fit_window
+    lo, hi = 10.0 * grid.r_min, 1e3 * grid.r_min
     mask = (grid.nodes >= lo) & (grid.nodes <= hi)
     if np.count_nonzero(mask) < 4:
         raise DomainError(f"fit window [{lo}, {hi}] selects fewer than 4 grid nodes")
@@ -321,9 +306,9 @@ def fit_origin(u: Field, N: int, fit_window: tuple[float, float] | None = None):
     return float(slope), float(v0)
 
 
-def origin_behavior(sw: StandingWave, fit_window: tuple[float, float] | None = None):
+def origin_behavior(sw: StandingWave):
     """Origin diagnostics of a converged wave: (exponent of u, v0)."""
-    return fit_origin(to_u(sw.v, sw.params.N), sw.params.N, fit_window)
+    return fit_origin(to_u(sw.v, sw.params.N), sw.params.N)
 
 
 def oracle_minimize(
@@ -358,17 +343,13 @@ def oracle_minimize(
             v += rng.uniform(0.3, 1.0) * np.exp(-(((x - center) / width) ** 2))
         v = np.abs(v) + 1e-3
         v = _renormalize(op, v, gamma)
-        j_val = op.functional_j(v)
+        j_val = _j_and_multiplier(op, v)[0]
         alpha = 1.0
         for _ in range(max(budget, 0)):
-            grad = (
-                op.stiffness_apply(v)
-                + op.mass_diag * v
-                - op.mass_diag * op.w_sing * np.abs(v) ** (params.q - 2) * v
-            )
-            pg = op.solve_spd(1.0, grad, 1.0)  # (M + K)^{-1} grad
-            pmv = op.solve_spd(1.0, op.mass_diag * v, 1.0)
+            grad = _gradient(op, v, 1.0)  # of J itself: its mass term has lam = 1
             mv = op.mass_diag * v
+            pg = op.solve_spd(0.0, grad, 1.0)  # (M + K)^{-1} grad
+            pmv = op.solve_spd(0.0, mv, 1.0)
             theta = float(np.sum(mv * pg) / np.sum(mv * pmv))
             direction = pg - theta * pmv  # tangent to the mass sphere
             if float(np.sum(grad * direction)) <= 1e-30:
@@ -376,10 +357,9 @@ def oracle_minimize(
             moved = False
             while alpha > 1e-16:
                 v_try = v - alpha * direction
-                m_try = op.mass(v_try)
-                if m_try > 0.0:
-                    v_try = v_try * np.sqrt(gamma / m_try)
-                    j_try = op.functional_j(v_try)
+                if op.mass(v_try) > 0.0:
+                    v_try = _renormalize(op, v_try, gamma)
+                    j_try = _j_and_multiplier(op, v_try)[0]
                     if j_try <= j_val - 1e-15:
                         moved = True
                         break
@@ -394,6 +374,4 @@ def oracle_minimize(
 
     j_best, rn_best, v_best = best
     lam = _j_and_multiplier(op, v_best)[1]
-    return _package(
-        op, grid, params, v_best, lam, rn_best, restarts, (j_best,), converged=False
-    )
+    return _package(grid, params, v_best, lam, rn_best, restarts, (j_best,), converged=False)

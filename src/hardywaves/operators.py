@@ -118,9 +118,6 @@ class RadialOperator:
     def energy(self, v: np.ndarray) -> float:
         return 0.5 * self.dirichlet(v) - self.nonlinear(v)
 
-    def functional_j(self, v: np.ndarray) -> float:
-        return self.energy(v) + 0.5 * self.mass(v)
-
     # -- operator application ------------------------------------------------
 
     def stiffness_apply(self, v: np.ndarray) -> np.ndarray:

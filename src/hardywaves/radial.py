@@ -209,10 +209,6 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
-
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(values=values, grid=self.grid)
 

@@ -19,13 +19,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .evolve import _checkpoints, _operator, initial_state
-from .groundstate import StandingWave
+from .groundstate import StandingWave, _renormalize
 from .operators import RadialOperator
 from .radial import Field, Params
 
 __all__ = ["StabilityRun", "orbit_distance", "stability_experiment", "PERTURBATION_KINDS"]
 
 PERTURBATION_KINDS = ("radial-bump", "phase-ramp", "mass-preserving-deformation")
+_SAMPLES = 100  # orbit-distance samples per run
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,7 @@ def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
         if h_norm == 0.0:
             raise ParameterError(f"perturbation kind {kind!r} degenerates on this wave")
         v = v + (delta / h_norm) * pert
-    v = v * np.sqrt(sw.gamma / op.mass(v))
-    return sw.v.with_values(v)
+    return sw.v.with_values(_renormalize(op, v, sw.gamma))
 
 
 def stability_experiment(
@@ -113,22 +113,20 @@ def stability_experiment(
     perturbation_kind: str = "radial-bump",
     T: float = 20.0,
     dt: float = 1e-3,
-    n_samples: int = 100,
 ) -> StabilityRun:
-    """Perturb, evolve to time T, and sample the orbit distance at
-    n_samples (>= 100 by contract) uniformly spaced times.  One operator
-    serves the propagation and every sample of the run."""
+    """Perturb, evolve to time T, and sample the orbit distance at 100
+    uniformly spaced times.  One operator serves the propagation and every
+    sample of the run."""
     if delta < 0.0:
         raise ParameterError("perturbation size must be nonnegative")
     params.require_subcritical("stability experiments")
-    n_samples = max(int(n_samples), 100)
     op = RadialOperator(sw.v.grid, params)
     # distances are measured in the wave's own energy norm
     wave_op = op if sw.params == params else RadialOperator(sw.v.grid, sw.params)
 
     start = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
-    steps_per_sample = max(1, int(round(T / (n_samples * dt))))
-    chunks = [steps_per_sample] * n_samples
+    steps_per_sample = max(1, int(round(T / (_SAMPLES * dt))))
+    chunks = [steps_per_sample] * _SAMPLES
     samples = [
         (state.time, orbit_distance(state.v, sw, wave_op), charge_drift, energy_drift)
         for state, _, _, charge_drift, energy_drift in _checkpoints(start, params, dt, chunks, op)

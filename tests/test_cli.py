@@ -330,6 +330,36 @@ def test_config_file_choice_is_checked(command, fields, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,fields", [
+    (["evolve"], {"steps": 100.0}),
+    (["ground-state"], {"n": 256.0}),
+    (["check", "hardy"], {"samples": 3.0}),
+    (["ground-state"], {"N": 3.0}),
+    (["ground-state"], {"max_iter": 5e4}),
+    (["evolve", "--steps", "4"], {"linear": 1}),
+    (["check", "weight"], {"q": True}),
+    (["stability", "--T", "0.01"], {"delta": [0.0, "0.01"]}),
+    (["evolve", "--steps", "4"], {"outdir": 7}),
+], ids=["steps", "n", "samples", "N", "max_iter", "linear", "bool-q", "delta", "outdir"])
+def test_config_file_value_type_is_checked(command, fields, tmp_path, capsys):
+    # flags were typed by argparse, file values went through as they came
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    assert run_cli([*command, *SMALL_GRID, "--config", str(config), "--outdir", str(out)]) == 1
+    assert "wrong type" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_numbers_are_kept_uncoerced(tmp_path):
+    # an int where a float is expected, and a bare number for delta, are accepted as is
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gamma": 2, "delta": 0}))
+    args = cli.build_parser().parse_args(["stability", "--config", str(config)])
+    cfg = cli._resolve(args, cli._COMMANDS["stability"][1])
+    assert type(cfg["gamma"]) is int and type(cfg["delta"]) is int
+
+
 def test_evolve_checkpoints_with_remainder_chunk(tmp_path):
     # 207 steps: 20 chunks of 10 and a remainder of 7, after the t = 0 row
     out = tmp_path / "ev"

@@ -157,6 +157,18 @@ def test_nonlinear_homogeneity(grid2k, params33):
     assert abs(scaled - 2.5**3 * base) / scaled < 1e-13
 
 
+@pytest.mark.parametrize("N,q", [(3, 3.0), (4, 2.5), (5, 2.6)])
+def test_nonlinear_term_is_the_solvers_F(grid8k, N, q):
+    # one discrete F: the checks' value and the solver's agree to the last bit
+    from hardywaves.checks import random_fields
+    from hardywaves.operators import RadialOperator
+
+    params = Params(N=N, q=q)
+    op = RadialOperator(grid8k, params)
+    for _, _, v in random_fields(grid8k, 50, seed=0):
+        assert nonlinear_term(v, params) == op.nonlinear(v.values)
+
+
 # ---------------------------------------------------------------------------
 # energy report and multiplier
 

@@ -166,6 +166,27 @@ def test_oracle_matches_flow(params33):
     assert abs(flow.energies.J - oracle.energies.J) < 1e-4
 
 
+def test_oracle_preconditioner_is_the_energy_metric(params33, monkeypatch):
+    # the oracle preconditions with (K + M)^{-1}: every solve it makes must
+    # satisfy (K + M) x = rhs against the dense matrix
+    solves = []
+    solve_spd = RadialOperator.solve_spd
+
+    def recorded(self, diag_extra, rhs, dt):
+        x = solve_spd(self, diag_extra, rhs, dt)
+        solves.append((self, rhs, x))
+        return x
+
+    monkeypatch.setattr(RadialOperator, "solve_spd", recorded)
+    oracle_minimize(params33, build_grid(128, 1e-4, 30.0), restarts=1, budget=5, seed=7)
+    assert solves
+    for op, rhs, x in solves:
+        k_plus_m = (
+            np.diag(op.k_diag + op.mass_diag) + np.diag(op.k_lower, 1) + np.diag(op.k_lower, -1)
+        )
+        assert np.linalg.norm(k_plus_m @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+
 def test_oracle_rejects_large_grid(params33):
     with pytest.raises(ParameterError):
         oracle_minimize(params33, build_grid(1024, 1e-4, 30.0))
