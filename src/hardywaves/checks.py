@@ -319,7 +319,6 @@ def check_ihs(
     least = np.inf
     violating = None
     for _, info, v in random_fields(grid, sample_count, seed, support=support):
-        phi = to_u(v, N)
         h_norm = np.sqrt(
             weighted_dirichlet(v, N) + integrate_mu(np.abs(v.values) ** 2, grid, N)
         )

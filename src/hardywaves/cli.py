@@ -29,7 +29,6 @@ from .errors import HardyWavesError, ParameterError
 from .evolve import _checkpoints, initial_state
 from .groundstate import normalized_gradient_flow, origin_behavior
 from .kelvin import kelvin_verify
-from .operators import RadialOperator
 from .radial import Field, Params, build_grid, check_dimension, to_u
 from .stability import PERTURBATION_KINDS, stability_experiment
 
@@ -217,14 +216,13 @@ def _cmd_evolve(cfg: dict, outdir: Path, meta: dict) -> int:
     """propagate a Gaussian in the transformed variable"""
     params = _params_from(cfg)
     grid = _grid_from(cfg)
-    op = RadialOperator(grid, params)  # one per run: its linear-stage factors are reused
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
     state = initial_state(v0, params)
     steps = cfg["steps"]
     chunk = max(steps // 20, 1)  # 20 checkpoints, and one more for a remainder
     chunks = [min(chunk, steps - done) for done in range(0, steps, chunk)]
     rows = [(0.0, state.charge0, state.energy0, 0.0, 0.0)]
-    for state, *values in _checkpoints(state, params, cfg["dt"], chunks, op, not cfg["linear"]):
+    for state, *values in _checkpoints(state, params, cfg["dt"], chunks, not cfg["linear"]):
         rows.append((state.time, *values))
     columns = list(np.array(rows).T)
     _write_csv(
@@ -252,9 +250,12 @@ def _cmd_stability(cfg: dict, outdir: Path, meta: dict) -> int:
     """perturb a standing wave and track orbit distance"""
     params = _params_from(cfg)
     params.require_subcritical("the stability command")
+    deltas = cfg["delta"] if isinstance(cfg["delta"], (list, tuple)) else [cfg["delta"]]
+    # checked before the ground-state solve, so a bad list writes no run files
+    if not deltas or not all(delta >= 0.0 for delta in deltas):
+        raise ParameterError(f"delta must be a nonempty list of numbers >= 0, got {deltas}")
     grid = _grid_from(cfg)
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"])
-    deltas = cfg["delta"] if isinstance(cfg["delta"], (list, tuple)) else [cfg["delta"]]
     per_delta = []
     for idx, delta in enumerate(deltas):
         run = stability_experiment(

@@ -140,10 +140,14 @@ def nonlinear_term(v: Field, params: Params) -> float:
 
 def energy_J(v: Field, params: Params) -> EnergyReport:
     """Full energy report: E = dirichlet/2 - F and J = E + mass/2."""
-    op = RadialOperator(v.grid, params)
-    dirichlet = op.dirichlet(v.values)
-    mass = op.mass(v.values)
-    nonlinear = op.nonlinear(v.values)
+    return _energy_report(RadialOperator(v.grid, params), v.values)
+
+
+def _energy_report(op: RadialOperator, v: np.ndarray) -> EnergyReport:
+    """``energy_J`` of the nodal values v on an assembled operator."""
+    dirichlet = op.dirichlet(v)
+    mass = op.mass(v)
+    nonlinear = op.nonlinear(v)
     energy = 0.5 * dirichlet - nonlinear
     return EnergyReport(
         dirichlet_mu=dirichlet,

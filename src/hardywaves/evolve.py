@@ -32,8 +32,8 @@ exactly as one long call does.  The potential-free part of the
 right-hand side is built once per step.
 
 Linear Crank-Nicolson has a fixed matrix, which the operator factors once
-per dt; passing one operator to every ``propagate`` call of a run keeps
-the factors for the whole run.
+per dt.  The operator rides on the state, so chained ``propagate`` calls
+of a run share one assembly and keep the factors for the whole run.
 
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BlowupError, ParameterError, StepError
 from .operators import RadialOperator
-from .radial import Field, Params, RadialGrid
+from .radial import Field, Params
 
 __all__ = ["EvolutionState", "initial_state", "propagate", "invariants"]
 
@@ -65,6 +65,7 @@ _ETA_MIN = 2.2e-16
 class EvolutionState:
     """Complex field at one instant, with its conserved-quantity baselines.
 
+    ``op`` is the operator the state was last built or advanced with.
     ``history`` holds the field values of the last two steps, newest first,
     and ``eta`` the midpoint iteration's last contraction estimate
     theta / (1 - theta), made at step size ``eta_dt``; they only seed the
@@ -75,6 +76,7 @@ class EvolutionState:
     time: float
     charge0: float
     energy0: float
+    op: RadialOperator = field(repr=False, compare=False)
     history: tuple = field(default=(), repr=False, compare=False)
     eta: float = field(default=1.0, repr=False, compare=False)
     eta_dt: float = field(default=0.0, repr=False, compare=False)
@@ -89,17 +91,13 @@ def initial_state(v: Field, params: Params) -> EvolutionState:
         time=0.0,
         charge0=op.mass(vals),
         energy0=op.energy(vals),
+        op=op,
     )
 
 
-def invariants(
-    state: EvolutionState, params: Params, op: RadialOperator | None = None
-) -> tuple[float, float]:
-    """(charge, energy) of the current field: mu-mass and E_g.
-
-    ``op``, when given, is the operator of (state.v.grid, params).
-    """
-    op = _operator(state.v.grid, params, op)
+def invariants(state: EvolutionState, params: Params) -> tuple[float, float]:
+    """(charge, energy) of the current field: mu-mass and E_g."""
+    op = _operator(state, params)
     vals = op.check_field(state.v)
     return op.mass(vals), op.energy(vals)
 
@@ -110,21 +108,19 @@ def propagate(
     dt: float,
     steps: int,
     nonlinear: bool = True,
-    op: RadialOperator | None = None,
 ) -> EvolutionState:
     """Advance the state by ``steps`` Crank-Nicolson steps of size dt.
 
     ``nonlinear=False`` disables the q-term, leaving the free 2D radial
-    propagator (useful against the closed-form dispersing Gaussian).
-    ``op``, when given, is the operator of (state.v.grid, params); passing
-    the same one to every call of a run saves its assembly and keeps its
+    propagator (useful against the closed-form dispersing Gaussian).  The
+    returned state carries the operator used, so chaining calls keeps its
     factored linear stage.
     """
     if dt <= 0.0:
         raise ParameterError(f"time step must be positive, got {dt}")
     if nonlinear:
         params.require_subcritical("nonlinear propagation")
-    op = _operator(state.v.grid, params, op)
+    op = _operator(state, params)
     v = op.check_field(state.v).astype(complex)
     history = state.history
     # the contraction ratio grows with dt, so an estimate from another dt is void
@@ -149,31 +145,26 @@ def propagate(
         history=history,
         eta=eta,
         eta_dt=dt,
+        op=op,
     )
 
 
-def _checkpoints(
-    state: EvolutionState, params: Params, dt: float, chunks, op: RadialOperator, nonlinear=True
-):
+def _checkpoints(state: EvolutionState, params: Params, dt: float, chunks, nonlinear=True):
     """Yield (state, charge, energy, charge drift, energy drift) after each chunk of steps.
 
     The drifts are |c - c_0| / c_0 and |E - E_0| / max(|E_0|, 1e-300).
     """
     energy_scale = max(abs(state.energy0), 1e-300)
     for steps in chunks:
-        state = propagate(state, params, dt, steps, nonlinear=nonlinear, op=op)
-        charge, energy = invariants(state, params, op)
+        state = propagate(state, params, dt, steps, nonlinear=nonlinear)
+        charge, energy = invariants(state, params)
         charge_drift = abs(charge - state.charge0) / state.charge0
         yield state, charge, energy, charge_drift, abs(energy - state.energy0) / energy_scale
 
 
-def _operator(grid: RadialGrid, params: Params, op: RadialOperator | None) -> RadialOperator:
-    """``op`` once it is checked to be built for params, else a new operator."""
-    if op is None:
-        return RadialOperator(grid, params)
-    if op.params != params:
-        raise ParameterError("operator was built for different parameters")
-    return op
+def _operator(state: EvolutionState, params: Params) -> RadialOperator:
+    """The state's operator if it was built for params, else a new one."""
+    return state.op if state.op.params == params else RadialOperator(state.v.grid, params)
 
 
 def _extrapolate(v: np.ndarray, history: tuple) -> np.ndarray:

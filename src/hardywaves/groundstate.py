@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .energies import EnergyReport, energy_J
+from .energies import EnergyReport, _energy_report
 from .errors import ConvergenceError, DomainError, ParameterError
 from .operators import RadialOperator
 from .radial import Field, Params, RadialGrid, origin_intercept, to_u, unit_ball_volume
@@ -53,7 +53,11 @@ _NEWTON_MAX_STEPS = 120
 
 @dataclass(frozen=True)
 class StandingWave:
-    """Converged minimiser with its multiplier and origin diagnostics."""
+    """Converged minimiser with its multiplier and origin diagnostics.
+
+    ``op`` is the operator the wave was solved on, whose energy norm
+    orbit distances use.
+    """
 
     v: Field
     lam: float
@@ -63,6 +67,7 @@ class StandingWave:
     v0: float
     Lambda_origin: float
     residual: float
+    op: RadialOperator = field(repr=False, compare=False)
     iterations: int = 0
     j_history: tuple = field(default=(), repr=False)
     converged: bool = True
@@ -229,7 +234,7 @@ def normalized_gradient_flow(
             switch = max(rn / 10.0, tol)
         iterations += 1
         rhs = op.mass_diag * (v + dt * (nl_vec - lam * v))
-        v_try = op.solve_spd(0.0, rhs, dt)
+        v_try = op.solve_spd(rhs, dt)
         v_try = _renormalize(op, v_try, gamma)
         j_try, lam_try = _j_and_multiplier(op, v_try)
         if j_try <= j_val + _J_MONO_TOL:
@@ -262,23 +267,23 @@ def normalized_gradient_flow(
     rn = _residual_norm(op, v, lam)
     if j_final <= j_history[-1] + _J_MONO_TOL:  # fails only short of a true minimum
         j_history.append(j_final)
-    return _package(grid, params, v, lam, rn, iterations, tuple(j_history))
+    return _package(op, v, lam, rn, iterations, tuple(j_history))
 
 
-def _package(grid, params, v, lam, rn, iterations, j_history, converged=True):
-    v_field = Field(values=v, grid=grid)
-    report = energy_J(v_field, params)
+def _package(op, v, lam, rn, iterations, j_history, converged=True):
+    grid, params = op.grid, op.params
     v0 = origin_intercept(v[:3], grid, params.N)
     lam_origin = 0.5 * params.N * (params.N - 2) * unit_ball_volume(params.N) * v0**2
     return StandingWave(
-        v=v_field,
+        v=Field(values=v, grid=grid),
         lam=lam,
         gamma=params.gamma,
         params=params,
-        energies=report,
+        energies=_energy_report(op, v),
         v0=v0,
         Lambda_origin=lam_origin,
         residual=rn,
+        op=op,
         iterations=iterations,
         j_history=j_history,
         converged=converged,
@@ -348,8 +353,8 @@ def oracle_minimize(
         for _ in range(max(budget, 0)):
             grad = _gradient(op, v, 1.0)  # of J itself: its mass term has lam = 1
             mv = op.mass_diag * v
-            pg = op.solve_spd(0.0, grad, 1.0)  # (M + K)^{-1} grad
-            pmv = op.solve_spd(0.0, mv, 1.0)
+            pg = op.solve_spd(grad, 1.0)  # (M + K)^{-1} grad
+            pmv = op.solve_spd(mv, 1.0)
             theta = float(np.sum(mv * pg) / np.sum(mv * pmv))
             direction = pg - theta * pmv  # tangent to the mass sphere
             if float(np.sum(grad * direction)) <= 1e-30:
@@ -374,4 +379,4 @@ def oracle_minimize(
 
     j_best, rn_best, v_best = best
     lam = _j_and_multiplier(op, v_best)[1]
-    return _package(grid, params, v_best, lam, rn_best, restarts, (j_best,), converged=False)
+    return _package(op, v_best, lam, rn_best, restarts, (j_best,), converged=False)

@@ -136,9 +136,9 @@ class RadialOperator:
 
     # -- banded solves ---------------------------------------------------------
 
-    def solve_spd(self, diag_extra: np.ndarray | float, rhs: np.ndarray, dt: float) -> np.ndarray:
-        """Solve (M * (1 + dt*diag_extra) + dt K) x = rhs, SPD tridiagonal."""
-        d = self.mass_diag * (1.0 + dt * np.asarray(diag_extra)) + dt * self.k_diag
+    def solve_spd(self, rhs: np.ndarray, dt: float) -> np.ndarray:
+        """Solve (M + dt K) x = rhs, SPD tridiagonal."""
+        d = self.mass_diag + dt * self.k_diag
         _, _, x, info = _DPTSV(d, dt * self.k_lower, rhs, 1, 1)
         if info != 0:
             raise LinAlgError(f"SPD tridiagonal solve failed (dptsv info={info})")

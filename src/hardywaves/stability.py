@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evolve import _checkpoints, _operator, initial_state
+from .evolve import _checkpoints, initial_state
 from .groundstate import StandingWave, _renormalize
 from .operators import RadialOperator
 from .radial import Field, Params
@@ -59,16 +59,15 @@ class StabilityRun:
         return float(np.max(self.distances))
 
 
-def orbit_distance(v: Field, sw: StandingWave, op: RadialOperator | None = None) -> float:
+def orbit_distance(v: Field, sw: StandingWave) -> float:
     """Distance from v to the phase orbit of the standing wave, in the
     energy norm.
 
     The optimal phase is theta* = arg <v, v_g>_H, in closed form; the norm
     of the explicit difference v - e^{i theta*} v_g then avoids the
     catastrophic cancellation of the expanded formula near the orbit.
-    ``op``, when given, is the operator of the wave's grid and parameters.
     """
-    op = _operator(sw.v.grid, sw.params, op)
+    op = sw.op
     a = op.check_field(v).astype(complex)
     b = sw.v.values.astype(complex)
     inner = op.h_inner(a, b)
@@ -94,7 +93,7 @@ def _perturbation(kind: str, op: RadialOperator, v_wave: np.ndarray) -> np.ndarr
 def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
     """Standing wave plus a delta-sized energy-norm perturbation, renormalised
     back to mass gamma (the beta-normalisation device)."""
-    op = RadialOperator(sw.v.grid, sw.params)
+    op = sw.op
     v_wave = np.real(sw.v.values)
     v = v_wave.astype(complex)
     if delta != 0.0:
@@ -114,22 +113,17 @@ def stability_experiment(
     T: float = 20.0,
     dt: float = 1e-3,
 ) -> StabilityRun:
-    """Perturb, evolve to time T, and sample the orbit distance at 100
-    uniformly spaced times.  One operator serves the propagation and every
-    sample of the run."""
+    """Perturb, evolve to time T, and sample the orbit distance, in the
+    wave's own energy norm, at 100 uniformly spaced times."""
     if delta < 0.0:
         raise ParameterError("perturbation size must be nonnegative")
     params.require_subcritical("stability experiments")
-    op = RadialOperator(sw.v.grid, params)
-    # distances are measured in the wave's own energy norm
-    wave_op = op if sw.params == params else RadialOperator(sw.v.grid, sw.params)
-
     start = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
     steps_per_sample = max(1, int(round(T / (_SAMPLES * dt))))
     chunks = [steps_per_sample] * _SAMPLES
     samples = [
-        (state.time, orbit_distance(state.v, sw, wave_op), charge_drift, energy_drift)
-        for state, _, _, charge_drift, energy_drift in _checkpoints(start, params, dt, chunks, op)
+        (state.time, orbit_distance(state.v, sw), charge_drift, energy_drift)
+        for state, _, _, charge_drift, energy_drift in _checkpoints(start, params, dt, chunks)
     ]
     times, distances, charge_drift, energy_drift = np.array(samples).T
     return StabilityRun(

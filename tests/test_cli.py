@@ -119,6 +119,27 @@ def test_stability_delta_zero_control(tmp_path):
     assert summary["runs"][0]["max_distance"] < 1e-6
 
 
+def test_stability_empty_delta_list_is_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"delta": []}))
+    out = tmp_path / "st"
+    code = run_cli(["stability", "--config", str(config), *SMALL_GRID, "--outdir", str(out)])
+    assert code == 1
+    assert "delta" in capsys.readouterr().err
+    assert not (out / "stability_summary.json").exists()
+
+
+def test_stability_negative_delta_is_rejected_before_any_run(tmp_path, capsys):
+    # the list is checked before the ground-state solve, so the valid first
+    # delta does not run and leave a partial output directory
+    out = tmp_path / "st"
+    code = run_cli(["stability", "--delta", "1e-2", "-1", "--T", "0.01", *SMALL_GRID,
+                    "--outdir", str(out)])
+    assert code == 1
+    assert "delta" in capsys.readouterr().err
+    assert list(out.glob("stability_run_*.csv")) == []
+
+
 def test_numerical_failure_writes_error_json(tmp_path):
     out = tmp_path / "fail"
     code = run_cli(["ground-state", *SMALL_GRID, "--tol", "1e-30",
@@ -396,3 +417,21 @@ def test_kelvin_verify_rejects_uniform_grading(tmp_path, capsys):
                     "--outdir", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / "kelvin_verify.json").exists()
+
+
+def test_linear_evolve_factors_the_cayley_matrix_once(tmp_path, monkeypatch):
+    # the operator rides on the evolution state, so the checkpoint chunks of
+    # one run share its factored linear stage
+    from hardywaves import operators
+
+    factor = operators._ZGTTRF
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_ZGTTRF", counted)
+    assert run_cli(["evolve", "--linear", *SMALL_GRID, "--steps", "45", "--dt", "1e-3",
+                    "--outdir", str(tmp_path)]) == 0
+    assert len(calls) == 1

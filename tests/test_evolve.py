@@ -204,7 +204,7 @@ def _worst_midpoint_error(op, state, dt, steps):
     worst = 0.0
     for _ in range(steps):
         v = state.v.values
-        state = propagate(state, op.params, dt, 1, op=op)
+        state = propagate(state, op.params, dt, 1)
         exact = _midpoint_fixed_point(op, v, state.v.values, dt)
         worst = max(worst, np.sqrt(op.mass(state.v.values - exact)))
     return state, worst
@@ -241,32 +241,22 @@ def test_kicked_run_does_not_trust_a_stale_contraction(wave2k, params33, kind, c
     # made at another dt), else one-solve steps land up to 1e3 tolerances
     # away from the fixed point
     op = RadialOperator(wave2k.v.grid, params33)
-    calm = propagate(initial_state(wave2k.v, params33), params33, calm_dt, calm_steps, op=op)
+    calm = propagate(initial_state(wave2k.v, params33), params33, calm_dt, calm_steps)
     kicked = propagate(initial_state(perturbed_field(wave2k, 1e-2, kind), params33), params33,
-                       1e-3, 2, op=op)
+                       1e-3, 2)
     state = replace(calm, v=kicked.v, history=kicked.history)
     _, worst = _worst_midpoint_error(op, state, 1e-3, 50)
     assert worst <= _FP_TOL * max(1.0, np.sqrt(state.charge0))
 
 
-def test_operator_must_match_parameters(wave2k, params33):
-    other = RadialOperator(wave2k.v.grid, Params(N=3, q=3.2, gamma=1.0))
-    state = initial_state(wave2k.v, params33)
-    with pytest.raises(ParameterError):
-        propagate(state, params33, 1e-3, 1, op=other)
-    with pytest.raises(ParameterError):
-        invariants(state, params33, other)
-    with pytest.raises(ParameterError):
-        orbit_distance(wave2k.v, wave2k, other)
 
-
-def test_operator_with_other_weight_radii_is_rejected(grid2k):
-    from hardywaves import WeightSpec
-
-    params = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
-    other = RadialOperator(
-        grid2k, Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0, r_min=1e-6))
-    )
-    v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
-    with pytest.raises(ParameterError):
-        propagate(initial_state(v0, params), params, 1e-3, 1, op=other)
+def test_propagate_under_other_parameters_builds_their_operator(grid2k, params33):
+    # a state advanced under parameters other than its own operator's is
+    # propagated with, and hands on, an operator for those parameters
+    other = Params(N=3, q=3.2, gamma=1.0)
+    x = grid2k.log_nodes
+    v0 = Field(values=np.exp(-(((x - 0.3) / 0.7) ** 2)).astype(complex), grid=grid2k)
+    moved = propagate(initial_state(v0, params33), other, 1e-3, 20)
+    direct = propagate(initial_state(v0, other), other, 1e-3, 20)
+    assert moved.op.params == other
+    assert np.array_equal(moved.v.values, direct.v.values)

@@ -172,8 +172,8 @@ def test_oracle_preconditioner_is_the_energy_metric(params33, monkeypatch):
     solves = []
     solve_spd = RadialOperator.solve_spd
 
-    def recorded(self, diag_extra, rhs, dt):
-        x = solve_spd(self, diag_extra, rhs, dt)
+    def recorded(self, rhs, dt):
+        x = solve_spd(self, rhs, dt)
         solves.append((self, rhs, x))
         return x
 

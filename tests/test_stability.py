@@ -98,3 +98,18 @@ def test_stability_with_equal_weight_specs():
     assert pa == pb
     run = stability_experiment(pb, normalized_gradient_flow(pa, grid), 1e-3, T=0.1, dt=1e-3)
     assert run.max_distance < 1e-2
+
+
+def test_stability_experiment_builds_one_operator(wave2k, params33, monkeypatch):
+    # the wave carries its operator, so a run assembles only its initial
+    # state's operator, which propagates every chunk
+    built = []
+    init = RadialOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialOperator, "__init__", counted)
+    stability_experiment(params33, wave2k, 1e-2, T=0.1, dt=1e-3)
+    assert len(built) <= 1
