@@ -158,7 +158,9 @@ def random_fields(
     seed: int,
     support: tuple[float, float] | None = None,
 ):
-    """Yield (index, sample_info, Field) for the standard bump ensemble."""
+    """Yield (index, sample_info, Field) for count >= 1 fields of the standard bump ensemble."""
+    if count < 1:
+        raise ParameterError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     if support is None:
         support = (10.0 * grid.r_min, grid.r_max / 10.0)

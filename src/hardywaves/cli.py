@@ -55,7 +55,8 @@ def _mark_floats(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
-        return f"{_FLOAT_MARK}{_fmt(obj)}\x00"
+        # JSON has no non-finite numbers: they become the strings "nan", "inf", "-inf"
+        return f"{_FLOAT_MARK}{_fmt(obj)}\x00" if np.isfinite(obj) else _fmt(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, dict):
@@ -68,7 +69,7 @@ def _mark_floats(obj):
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with finite floats at 17 significant digits."""
     text = json.dumps(_mark_floats(obj), sort_keys=True, indent=2)
     # json.dumps escapes the NUL marker bytes with unicode escapes
     return re.sub(r'"\\u0000f:([^"\\]*)\\u0000"', r"\1", text) + "\n"
@@ -214,15 +215,16 @@ def _free_gaussian(grid, t: float) -> np.ndarray:
 
 def _cmd_evolve(cfg: dict, outdir: Path, meta: dict) -> int:
     """propagate a Gaussian in the transformed variable"""
-    params = _params_from(cfg)
+    steps = cfg["steps"]
+    if steps < 1:
+        raise ParameterError(f"steps must be >= 1, got {steps}")
     grid = _grid_from(cfg)
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
-    state = initial_state(v0, params)
-    steps = cfg["steps"]
+    state = initial_state(v0, _params_from(cfg))
     chunk = max(steps // 20, 1)  # 20 checkpoints, and one more for a remainder
     chunks = [min(chunk, steps - done) for done in range(0, steps, chunk)]
     rows = [(0.0, state.charge0, state.energy0, 0.0, 0.0)]
-    for state, *values in _checkpoints(state, params, cfg["dt"], chunks, not cfg["linear"]):
+    for state, *values in _checkpoints(state, cfg["dt"], chunks, not cfg["linear"]):
         rows.append((state.time, *values))
     columns = list(np.array(rows).T)
     _write_csv(
@@ -259,7 +261,7 @@ def _cmd_stability(cfg: dict, outdir: Path, meta: dict) -> int:
     per_delta = []
     for idx, delta in enumerate(deltas):
         run = stability_experiment(
-            params, sw, float(delta), perturbation_kind=cfg["kind"], T=cfg["T"], dt=cfg["dt"]
+            sw, float(delta), perturbation_kind=cfg["kind"], T=cfg["T"], dt=cfg["dt"]
         )
         _write_csv(
             outdir / f"stability_run_{idx}.csv",
@@ -315,8 +317,6 @@ def _cmd_check(cfg: dict, outdir: Path, meta: dict) -> int:
             "integrable_sufficient": report.integrable_sufficient,
             "passed": report.admissible,
         }
-        _write_json(outdir / "check_weight.json", {**payload, "n_samples": 0, **meta})
-        return 0
     else:  # ihs; argparse restricts the choices
         report = check_ihs(cfg["samples"], cfg["seed"], cfg["N"], h_kind=cfg["h_kind"], grid=grid)
         payload = {
@@ -324,7 +324,7 @@ def _cmd_check(cfg: dict, outdir: Path, meta: dict) -> int:
             "empirical_constant": report.empirical_constant,
             "passed": report.min_ratio > 0.0,
         }
-    payload["n_samples"] = cfg["samples"]
+    payload["n_samples"] = 0 if which == "weight" else cfg["samples"]  # weight draws none
     if getattr(report, "violating_sample", None) is not None:
         payload["violating_sample"] = report.violating_sample
     _write_json(outdir / f"check_{which}.json", {**payload, **meta})

@@ -31,9 +31,9 @@ state, so chained ``propagate`` calls iterate across chunk boundaries
 exactly as one long call does.  The potential-free part of the
 right-hand side is built once per step.
 
-Linear Crank-Nicolson has a fixed matrix, which the operator factors once
-per dt.  The operator rides on the state, so chained ``propagate`` calls
-of a run share one assembly and keep the factors for the whole run.
+The operator is the one record of a run's problem: ``initial_state``
+assembles it, the state carries it, and every step reads it, so a linear
+run factors its fixed Crank-Nicolson matrix once per dt.
 
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
@@ -65,7 +65,7 @@ _ETA_MIN = 2.2e-16
 class EvolutionState:
     """Complex field at one instant, with its conserved-quantity baselines.
 
-    ``op`` is the operator the state was last built or advanced with.
+    ``op`` is the operator of the state's problem, which every step uses.
     ``history`` holds the field values of the last two steps, newest first,
     and ``eta`` the midpoint iteration's last contraction estimate
     theta / (1 - theta), made at step size ``eta_dt``; they only seed the
@@ -83,61 +83,58 @@ class EvolutionState:
 
 
 def initial_state(v: Field, params: Params) -> EvolutionState:
-    """Wrap initial data, recording charge and energy baselines."""
-    op = RadialOperator(v.grid, params)
+    """Wrap initial data of the problem ``params``, recording charge and
+    energy baselines; the state carries the problem's operator."""
+    return _start(RadialOperator(v.grid, params), v)
+
+
+def _start(op: RadialOperator, v: Field) -> EvolutionState:
+    """Initial state of v on an operator that is already assembled."""
     vals = op.check_field(v).astype(complex)
     return EvolutionState(
-        v=v.with_values(vals),
-        time=0.0,
-        charge0=op.mass(vals),
-        energy0=op.energy(vals),
-        op=op,
+        v=v.with_values(vals), time=0.0, charge0=op.mass(vals), energy0=op.energy(vals), op=op
     )
 
 
-def invariants(state: EvolutionState, params: Params) -> tuple[float, float]:
-    """(charge, energy) of the current field: mu-mass and E_g."""
-    op = _operator(state, params)
-    vals = op.check_field(state.v)
-    return op.mass(vals), op.energy(vals)
+def invariants(state: EvolutionState) -> tuple[float, float]:
+    """(charge, energy) of the current field: mu-mass and E_g of its problem."""
+    vals = state.op.check_field(state.v)
+    return state.op.mass(vals), state.op.energy(vals)
 
 
 def propagate(
-    state: EvolutionState,
-    params: Params,
-    dt: float,
-    steps: int,
-    nonlinear: bool = True,
+    state: EvolutionState, dt: float, steps: int, nonlinear: bool = True
 ) -> EvolutionState:
-    """Advance the state by ``steps`` Crank-Nicolson steps of size dt.
+    """Advance the state by ``steps`` Crank-Nicolson steps of size dt, on
+    the state's own operator.
 
     ``nonlinear=False`` disables the q-term, leaving the free 2D radial
     propagator (useful against the closed-form dispersing Gaussian).  The
-    returned state carries the operator used, so chaining calls keeps its
+    returned state carries the same operator, so chaining calls keeps its
     factored linear stage.
     """
-    if dt <= 0.0:
-        raise ParameterError(f"time step must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ParameterError(f"time step must be finite and positive, got {dt}")
+    if steps < 0:
+        raise ParameterError(f"step count must be nonnegative, got {steps}")
+    op = state.op
     if nonlinear:
-        params.require_subcritical("nonlinear propagation")
-    op = _operator(state, params)
+        op.params.require_subcritical("nonlinear propagation")
     v = op.check_field(state.v).astype(complex)
     history = state.history
     # the contraction ratio grows with dt, so an estimate from another dt is void
     eta = state.eta if state.eta_dt == dt else 1.0
     # charge is conserved to roundoff, so the baseline sets the tolerance scale
     scale = max(1.0, np.sqrt(state.charge0))
-    for k in range(steps):
-        if not np.all(np.isfinite(v)):
-            raise BlowupError(f"non-finite field at step {k}, t={state.time + k * dt}")
+    for k in range(1, steps + 1):
         if nonlinear:
             v_new, eta = _cn_step(op, v, dt, history, eta, scale)
         else:
             v_new = op.solve_cayley(None, v, dt)
         history = (v, *history[:1])
         v = v_new
-    if not np.all(np.isfinite(v)):
-        raise BlowupError(f"non-finite field after {steps} steps")
+        if not np.all(np.isfinite(v)):
+            raise BlowupError(f"non-finite field after step {k}, t={state.time + k * dt}")
     return replace(
         state,
         v=state.v.with_values(v),
@@ -145,26 +142,20 @@ def propagate(
         history=history,
         eta=eta,
         eta_dt=dt,
-        op=op,
     )
 
 
-def _checkpoints(state: EvolutionState, params: Params, dt: float, chunks, nonlinear=True):
+def _checkpoints(state: EvolutionState, dt: float, chunks, nonlinear=True):
     """Yield (state, charge, energy, charge drift, energy drift) after each chunk of steps.
 
     The drifts are |c - c_0| / c_0 and |E - E_0| / max(|E_0|, 1e-300).
     """
     energy_scale = max(abs(state.energy0), 1e-300)
     for steps in chunks:
-        state = propagate(state, params, dt, steps, nonlinear=nonlinear)
-        charge, energy = invariants(state, params)
+        state = propagate(state, dt, steps, nonlinear=nonlinear)
+        charge, energy = invariants(state)
         charge_drift = abs(charge - state.charge0) / state.charge0
         yield state, charge, energy, charge_drift, abs(energy - state.energy0) / energy_scale
-
-
-def _operator(state: EvolutionState, params: Params) -> RadialOperator:
-    """The state's operator if it was built for params, else a new one."""
-    return state.op if state.op.params == params else RadialOperator(state.v.grid, params)
 
 
 def _extrapolate(v: np.ndarray, history: tuple) -> np.ndarray:

@@ -56,13 +56,12 @@ class StandingWave:
     """Converged minimiser with its multiplier and origin diagnostics.
 
     ``op`` is the operator the wave was solved on, whose energy norm
-    orbit distances use.
+    orbit distances use; it is the one record of the wave's problem, which
+    ``params`` and ``gamma`` read.
     """
 
     v: Field
     lam: float
-    gamma: float
-    params: Params
     energies: EnergyReport
     v0: float
     Lambda_origin: float
@@ -71,6 +70,14 @@ class StandingWave:
     iterations: int = 0
     j_history: tuple = field(default=(), repr=False)
     converged: bool = True
+
+    @property
+    def params(self) -> Params:
+        return self.op.params
+
+    @property
+    def gamma(self) -> float:
+        return self.op.params.gamma
 
     def __post_init__(self):
         # the solver's own output breaking an invariant is a numerical failure
@@ -193,8 +200,10 @@ def normalized_gradient_flow(
     A negative-valued init is replaced by its modulus (the flow preserves
     positivity, so minimisers are reached through nonnegative iterates).
     Raises ConvergenceError with last-iterate diagnostics if the residual
-    tolerance is not reached within max_iter flow iterations.
+    tolerance tol (finite, > 0) is not reached within max_iter flow iterations.
     """
+    if not 0.0 < tol < np.inf:
+        raise ParameterError(f"residual tolerance must be finite and positive, got {tol}")
     if params.q > 2.0 + 4.0 / params.N + 1e-12:
         raise ParameterError(
             f"ground state solve requires q <= 2 + 4/N = {2 + 4.0 / params.N:.6g}, got q={params.q}"
@@ -277,8 +286,6 @@ def _package(op, v, lam, rn, iterations, j_history, converged=True):
     return StandingWave(
         v=Field(values=v, grid=grid),
         lam=lam,
-        gamma=params.gamma,
-        params=params,
         energies=_energy_report(op, v),
         v0=v0,
         Lambda_origin=lam_origin,

@@ -9,6 +9,9 @@ elements of the orbit exhibited explicitly), so the distance is
 
 with the optimal phase theta* = arg <v, v_g>_H in the complex energy inner
 product (Dirichlet + weighted mass).
+
+A stability run has one problem, the wave's: perturbation, evolution and
+orbit distance all run on the operator the wave was solved on.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evolve import _checkpoints, initial_state
+from .evolve import _checkpoints, _start
 from .groundstate import StandingWave, _renormalize
 from .operators import RadialOperator
-from .radial import Field, Params
+from .radial import Field
 
 __all__ = ["StabilityRun", "orbit_distance", "stability_experiment", "PERTURBATION_KINDS"]
 
@@ -40,16 +43,12 @@ class StabilityRun:
     energy_drift: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "distances", "charge_drift", "energy_drift"):
+        names = ("times", "distances", "charge_drift", "energy_drift")
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (
-            self.times.shape
-            == self.distances.shape
-            == self.charge_drift.shape
-            == self.energy_drift.shape
-        ):
+        if len({getattr(self, name).shape for name in names}) > 1:
             raise ParameterError("stability run arrays must share one length")
         if np.any(self.distances < 0.0):
             raise ParameterError("orbit distances cannot be negative")
@@ -106,24 +105,25 @@ def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
 
 
 def stability_experiment(
-    params: Params,
     sw: StandingWave,
     delta: float,
     perturbation_kind: str = "radial-bump",
     T: float = 20.0,
     dt: float = 1e-3,
 ) -> StabilityRun:
-    """Perturb, evolve to time T, and sample the orbit distance, in the
-    wave's own energy norm, at 100 uniformly spaced times."""
+    """Perturb the wave, evolve it on its own operator to time T, and sample
+    the orbit distance, in its energy norm, at 100 uniformly spaced times."""
     if delta < 0.0:
         raise ParameterError("perturbation size must be nonnegative")
-    params.require_subcritical("stability experiments")
-    start = initial_state(perturbed_field(sw, delta, perturbation_kind), params)
+    if not 0.0 < T < np.inf:
+        raise ParameterError(f"final time T must be finite and positive, got {T}")
+    sw.params.require_subcritical("stability experiments")
+    start = _start(sw.op, perturbed_field(sw, delta, perturbation_kind))
     steps_per_sample = max(1, int(round(T / (_SAMPLES * dt))))
     chunks = [steps_per_sample] * _SAMPLES
     samples = [
         (state.time, orbit_distance(state.v, sw), charge_drift, energy_drift)
-        for state, _, _, charge_drift, energy_drift in _checkpoints(start, params, dt, chunks)
+        for state, _, _, charge_drift, energy_drift in _checkpoints(start, dt, chunks)
     ]
     times, distances, charge_drift, energy_drift = np.array(samples).T
     return StabilityRun(

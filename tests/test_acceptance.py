@@ -90,7 +90,7 @@ def test_criterion_2_hardy_identity(default_grid):
 
 def test_criterion_3_linear_propagator(default_grid, p33):
     v0 = Field(values=np.exp(-default_grid.nodes**2 / 2.0).astype(complex), grid=default_grid)
-    state = propagate(initial_state(v0, p33), p33, 1e-3, 1000, nonlinear=False)
+    state = propagate(initial_state(v0, p33), 1e-3, 1000, nonlinear=False)
     z = 1.0 + 2.0j
     exact = np.exp(-default_grid.nodes**2 / (2.0 * z)) / z
     sup_err = float(np.max(np.abs(state.v.values - exact)))
@@ -98,7 +98,7 @@ def test_criterion_3_linear_propagator(default_grid, p33):
     op = RadialOperator(default_grid, p33)
     sols = []
     for dt in (4e-3, 2e-3, 1e-3):
-        s = propagate(initial_state(v0, p33), p33, dt, int(round(1.0 / dt)), nonlinear=False)
+        s = propagate(initial_state(v0, p33), dt, int(round(1.0 / dt)), nonlinear=False)
         sols.append(s.v.values)
     e1 = np.sqrt(op.mass(sols[0] - sols[1]))
     e2 = np.sqrt(op.mass(sols[1] - sols[2]))
@@ -116,8 +116,8 @@ def test_criterion_4_conservation(wave, p33):
     max_charge = 0.0
     max_energy = 0.0
     for _ in range(20):
-        state = propagate(state, p33, 1e-3, 500)  # 10^4 CN steps in total
-        charge, energy = invariants(state, p33)
+        state = propagate(state, 1e-3, 500)  # 10^4 CN steps in total
+        charge, energy = invariants(state)
         max_charge = max(max_charge, abs(charge - state.charge0) / state.charge0)
         max_energy = max(max_energy, abs(energy - state.energy0) / abs(state.energy0))
     ok = max_charge < 1e-8 and max_energy < 1e-6
@@ -181,12 +181,12 @@ def test_criterion_6_origin_behavior(wave, default_grid):
 
 
 def test_criterion_7_orbital_stability(wave, p33):
-    control = stability_experiment(p33, wave, 0.0, T=20.0, dt=2e-3)
+    control = stability_experiment(wave, 0.0, T=20.0, dt=2e-3)
     details = [f"delta=0: max distance = {control.max_distance:.3e} (tol 1e-6)"]
     ok = control.max_distance < 1e-6
     ratios = {}
     for delta in (1e-3, 1e-2):
-        run = stability_experiment(p33, wave, delta, T=20.0, dt=2e-3)
+        run = stability_experiment(wave, delta, T=20.0, dt=2e-3)
         ratios[delta] = run.max_distance / delta
         ok = ok and run.max_distance < 10.0 * delta
         details.append(

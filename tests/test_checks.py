@@ -212,3 +212,9 @@ def test_random_fields_supported_away_from_boundaries(grid8k):
     for _, _, field in random_fields(grid8k, 10, seed=1):
         assert abs(field.values[0]) < 1e-6
         assert abs(field.values[-1]) < 1e-6
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_random_fields_rejects_empty_sample(grid8k, count):
+    with pytest.raises(ParameterError, match="sample count"):
+        next(random_fields(grid8k, count, seed=1))

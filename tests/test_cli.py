@@ -12,8 +12,13 @@ def run_cli(args):
     return main(args)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    # strict: NaN and Infinity are Python's extension, not JSON
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
 
 
 SMALL_GRID = ["--n", "512", "--r-min", "1e-4", "--r-max", "30"]
@@ -435,3 +440,57 @@ def test_linear_evolve_factors_the_cayley_matrix_once(tmp_path, monkeypatch):
     assert run_cli(["evolve", "--linear", *SMALL_GRID, "--steps", "45", "--dt", "1e-3",
                     "--outdir", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_dumps_json_spells_non_finite_values_as_strings():
+    text = cli.dumps_json({"a": float("nan"), "b": np.inf, "c": [-np.inf, 0.1]})
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "a": "nan", "b": "inf", "c": ["-inf", 0.1]
+    }
+
+
+def test_non_finite_step_error_writes_valid_json(tmp_path, monkeypatch):
+    # a Cayley solve that returns NaN leaves the midpoint iteration with a
+    # NaN update and contraction ratio, which error.json must still hold
+    from hardywaves.operators import RadialOperator
+
+    monkeypatch.setattr(RadialOperator, "solve_cayley",
+                        lambda self, potential, v, dt, rhs=None: np.full_like(v, np.nan))
+    out = tmp_path / "nan"
+    assert run_cli(["evolve", *SMALL_GRID, "--steps", "1", "--outdir", str(out)]) == 2
+    payload = read_json(out / "error.json")
+    assert payload["error"] == "StepError"
+    assert payload["diagnostics"]["last_update"] == "nan"
+    assert payload["diagnostics"]["theta"] == "nan"
+    assert payload["diagnostics"]["dt"] == 1e-3
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "hardy"], ["check", "ckn"], ["check", "ihs"], ["kelvin-verify"],
+], ids=["check-hardy", "check-ckn", "check-ihs", "kelvin-verify"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_empty_sample_count_is_config_error(command, samples, tmp_path, capsys):
+    # no check can pass or fail on no samples
+    out = tmp_path / "out"
+    assert run_cli([*command, "--n", "256", "--samples", samples, "--outdir", str(out)]) == 1
+    assert "sample count" in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground-state", "--tol", "nan"],
+    ["ground-state", "--tol", "-1"],
+    ["evolve", "--dt", "inf"],
+    ["evolve", "--dt", "nan"],
+    ["evolve", "--steps", "0"],
+    ["evolve", "--steps", "-5"],
+    ["stability", "--T", "nan", "--tol", "1e-8"],
+    ["stability", "--T", "-1", "--tol", "1e-8"],
+    ["stability", "--dt", "inf", "--tol", "1e-8"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_input_is_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([*argv, *SMALL_GRID, "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*_summary.json")) and not list(out.glob("*.csv"))
+    assert not (out / "error.json").exists()

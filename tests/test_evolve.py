@@ -18,7 +18,7 @@ def test_linear_propagator_matches_dispersing_gaussian(grid2k, params33):
     # i v_t + Delta_2d v = 0 with Gaussian data has the closed-form solution
     # v(r, t) = (1 + 2it)^{-1} exp(-r^2 / (2 (1 + 2it)))
     v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
-    state = propagate(initial_state(v0, params33), params33, 1e-3, 1000, nonlinear=False)
+    state = propagate(initial_state(v0, params33), 1e-3, 1000, nonlinear=False)
     assert np.max(np.abs(state.v.values - free_gaussian(grid2k, 1.0))) < 1e-3
 
 
@@ -27,8 +27,7 @@ def test_linear_self_convergence_second_order(grid2k, params33):
     op = RadialOperator(grid2k, params33)
     sols = []
     for dt in (4e-3, 2e-3, 1e-3):
-        state = propagate(initial_state(v0, params33), params33, dt, int(round(1.0 / dt)),
-                          nonlinear=False)
+        state = propagate(initial_state(v0, params33), dt, int(round(1.0 / dt)), nonlinear=False)
         sols.append(state.v.values)
     e1 = np.sqrt(op.mass(sols[0] - sols[1]))
     e2 = np.sqrt(op.mass(sols[1] - sols[2]))
@@ -44,7 +43,7 @@ def test_nonlinear_self_convergence_second_order(grid2k, params33):
     op = RadialOperator(grid2k, params33)
     sols = []
     for dt in (4e-3, 2e-3, 1e-3):
-        state = propagate(initial_state(v0, params33), params33, dt, int(round(1.0 / dt)))
+        state = propagate(initial_state(v0, params33), dt, int(round(1.0 / dt)))
         sols.append(state.v.values)
     e1 = np.sqrt(op.mass(sols[0] - sols[1]))
     e2 = np.sqrt(op.mass(sols[1] - sols[2]))
@@ -54,7 +53,7 @@ def test_nonlinear_self_convergence_second_order(grid2k, params33):
 def test_invariants_fresh_state_equals_baselines(grid2k, params33):
     v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
     state = initial_state(v0, params33)
-    charge, energy = invariants(state, params33)
+    charge, energy = invariants(state)
     assert charge == state.charge0
     assert energy == state.energy0
 
@@ -68,8 +67,8 @@ def test_conservation_along_nonlinear_run(wave2k, params33, scheme, energy_tol):
     values = wave2k.v.values + 1e-2 * pert / np.sqrt(op.h_norm_sq(pert))
     values = values * np.sqrt(params33.gamma / op.mass(values))
     state = initial_state(wave2k.v.with_values(values.astype(complex)), params33)
-    state = propagate(state, params33, 1e-3, 1000)
-    charge, energy = invariants(state, params33)
+    state = propagate(state, 1e-3, 1000)
+    charge, energy = invariants(state)
     assert abs(charge - state.charge0) / state.charge0 < 1e-10
     assert abs(energy - state.energy0) / abs(state.energy0) < energy_tol
 
@@ -80,11 +79,8 @@ def test_time_reversal_via_conjugation(grid2k, params33):
     x = grid2k.log_nodes
     v0 = Field(values=np.exp(-(((x - 0.3) / 0.7) ** 2)).astype(complex), grid=grid2k)
     op = RadialOperator(grid2k, params33)
-    fwd = propagate(initial_state(v0, params33), params33, 1e-3, 300)
-    back = propagate(
-        initial_state(fwd.v.with_values(np.conj(fwd.v.values)), params33),
-        params33, 1e-3, 300,
-    )
+    fwd = propagate(initial_state(v0, params33), 1e-3, 300)
+    back = propagate(initial_state(fwd.v.with_values(np.conj(fwd.v.values)), params33), 1e-3, 300)
     err = np.sqrt(op.mass(np.conj(back.v.values) - v0.values))
     assert err < 1e-8
 
@@ -94,7 +90,7 @@ def test_standing_wave_stationary_with_phase_removed(wave2k, params33):
     state = initial_state(wave2k.v, params33)
     worst = 0.0
     for _ in range(20):
-        state = propagate(state, params33, 5e-3, 100)  # t in (0, 10]
+        state = propagate(state, 5e-3, 100)  # t in (0, 10]
         worst = max(worst, orbit_distance(state.v, wave2k))
     assert worst < 1e-6
 
@@ -102,10 +98,11 @@ def test_standing_wave_stationary_with_phase_removed(wave2k, params33):
 def test_propagate_validates_arguments(grid2k, params33):
     v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
     state = initial_state(v0, params33)
+    for dt, steps in [(-1e-3, 10), (0.0, 10), (np.nan, 10), (np.inf, 10), (1e-3, -1)]:
+        with pytest.raises(ParameterError):
+            propagate(state, dt, steps)
     with pytest.raises(ParameterError):
-        propagate(state, params33, -1e-3, 10)
-    with pytest.raises(ParameterError):
-        propagate(state, Params(N=3, q=4.0), 1e-3, 10)  # outside 2 < q < 2 + 4/N
+        propagate(initial_state(v0, Params(N=3, q=4.0)), 1e-3, 10)  # outside 2 < q < 2 + 4/N
 
 
 def test_weighted_nonlinearity_conservation(grid2k):
@@ -116,8 +113,8 @@ def test_weighted_nonlinearity_conservation(grid2k):
     params = Params(N=3, q=3.0, gamma=1.0, weight=WeightSpec.from_exponents(0.0, -2.0))
     x = grid2k.log_nodes
     v0 = Field(values=np.exp(-(((x - 0.3) / 0.7) ** 2)).astype(complex), grid=grid2k)
-    state = propagate(initial_state(v0, params), params, 1e-3, 500)
-    charge, energy = invariants(state, params)
+    state = propagate(initial_state(v0, params), 1e-3, 500)
+    charge, energy = invariants(state)
     assert abs(charge - state.charge0) / state.charge0 < 1e-10
     assert abs(energy - state.energy0) / max(abs(state.energy0), 1e-12) < 1e-6
 
@@ -126,7 +123,7 @@ def test_fixed_point_failure_raises_step_error(grid2k, params33):
     big = Field(values=(20.0 * np.exp(-grid2k.nodes**2 / 2.0)).astype(complex), grid=grid2k)
     state = initial_state(big, params33)
     with pytest.raises(StepError) as err:
-        propagate(state, params33, 10.0, 1)
+        propagate(state, 10.0, 1)
     assert "dt" in err.value.diagnostics
     assert err.value.diagnostics["iterations"] == _FP_MAX
     assert "theta" in err.value.diagnostics
@@ -158,12 +155,12 @@ def test_chained_propagate_matches_one_call(wave2k, params33, monkeypatch):
     # midpoint guess across their boundaries as one long call does
     calls = _count_solves(monkeypatch)
     state = _perturbed_wave(wave2k, params33, 1e-2)
-    one = propagate(state, params33, 1e-3, 300)
+    one = propagate(state, 1e-3, 300)
     one_call_solves = len(calls)
     calls.clear()
     chained = state
     for _ in range(100):
-        chained = propagate(chained, params33, 1e-3, 3)
+        chained = propagate(chained, 1e-3, 3)
     assert len(calls) == one_call_solves
     assert chained.time == pytest.approx(one.time, abs=1e-12)
     assert len(chained.history) == 2
@@ -180,10 +177,10 @@ def test_extrapolated_guess_does_not_add_solves(wave2k, params33, delta, solves_
     calls = _count_solves(monkeypatch)
     plain = _perturbed_wave(wave2k, params33, delta)
     for _ in range(100):
-        plain = propagate(replace(plain, history=()), params33, 1e-3, 1)
+        plain = propagate(replace(plain, history=()), 1e-3, 1)
     plain_solves = len(calls)
     calls.clear()
-    guessed = propagate(_perturbed_wave(wave2k, params33, delta), params33, 1e-3, 100)
+    guessed = propagate(_perturbed_wave(wave2k, params33, delta), 1e-3, 100)
     assert len(calls) <= min(plain_solves, solves_per_step * 100)
     assert np.max(np.abs(guessed.v.values - plain.v.values)) <= 1e-10
 
@@ -204,7 +201,7 @@ def _worst_midpoint_error(op, state, dt, steps):
     worst = 0.0
     for _ in range(steps):
         v = state.v.values
-        state = propagate(state, op.params, dt, 1)
+        state = propagate(state, dt, 1)
         exact = _midpoint_fixed_point(op, v, state.v.values, dt)
         worst = max(worst, np.sqrt(op.mass(state.v.values - exact)))
     return state, worst
@@ -225,8 +222,7 @@ def test_midpoint_stop_is_within_tolerance(wave2k, params33, kind, delta, monkey
     if delta == 1e-2:
         # the plain test needs a third solve per step to see convergence
         calls = _count_solves(monkeypatch)
-        propagate(initial_state(perturbed_field(wave2k, delta, kind), params33), params33,
-                  1e-3, 100)
+        propagate(initial_state(perturbed_field(wave2k, delta, kind), params33), 1e-3, 100)
         assert len(calls) <= 200
 
 
@@ -241,22 +237,9 @@ def test_kicked_run_does_not_trust_a_stale_contraction(wave2k, params33, kind, c
     # made at another dt), else one-solve steps land up to 1e3 tolerances
     # away from the fixed point
     op = RadialOperator(wave2k.v.grid, params33)
-    calm = propagate(initial_state(wave2k.v, params33), params33, calm_dt, calm_steps)
-    kicked = propagate(initial_state(perturbed_field(wave2k, 1e-2, kind), params33), params33,
-                       1e-3, 2)
+    calm = propagate(initial_state(wave2k.v, params33), calm_dt, calm_steps)
+    kicked = propagate(initial_state(perturbed_field(wave2k, 1e-2, kind), params33), 1e-3, 2)
     state = replace(calm, v=kicked.v, history=kicked.history)
     _, worst = _worst_midpoint_error(op, state, 1e-3, 50)
     assert worst <= _FP_TOL * max(1.0, np.sqrt(state.charge0))
 
-
-
-def test_propagate_under_other_parameters_builds_their_operator(grid2k, params33):
-    # a state advanced under parameters other than its own operator's is
-    # propagated with, and hands on, an operator for those parameters
-    other = Params(N=3, q=3.2, gamma=1.0)
-    x = grid2k.log_nodes
-    v0 = Field(values=np.exp(-(((x - 0.3) / 0.7) ** 2)).astype(complex), grid=grid2k)
-    moved = propagate(initial_state(v0, params33), other, 1e-3, 20)
-    direct = propagate(initial_state(v0, other), other, 1e-3, 20)
-    assert moved.op.params == other
-    assert np.array_equal(moved.v.values, direct.v.values)

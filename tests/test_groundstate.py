@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -211,7 +213,8 @@ def test_broken_wave_invariant_is_a_numerical_failure(wave1k, broken):
     if broken == "negative-profile":
         change = {"v": wave1k.v.with_values(-wave1k.v.values)}
     elif broken == "mass-drift":
-        change = {"gamma": 2.0 * wave1k.gamma}
+        # the wave's mass is now short of its operator's problem
+        change = {"op": RadialOperator(wave1k.v.grid, Params(N=3, q=3.0, gamma=2.0))}
     else:
         change = {"v0": 0.0}
     with pytest.raises(ConvergenceError) as err:
@@ -256,3 +259,19 @@ def test_polish_stop_absent_when_polish_never_ran(grid1k, params33):
     with pytest.raises(ConvergenceError) as err:
         normalized_gradient_flow(params33, grid1k, tol=1e-8, max_iter=5)
     assert "polish_stop" not in err.value.diagnostics
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+def test_flow_rejects_bad_tolerance(grid1k, params33, tol):
+    # a NaN tolerance is never met and never missed, so the flow would
+    # return an unconverged wave marked converged
+    with pytest.raises(ParameterError, match="tolerance"):
+        normalized_gradient_flow(params33, grid1k, tol=tol, max_iter=5)
+
+
+def test_wave_reads_its_problem_from_its_operator(wave1k, params33):
+    # the operator is the one record of the problem, so the two cannot disagree
+    assert {"params", "gamma"}.isdisjoint(f.name for f in dataclasses.fields(wave1k))
+    assert wave1k.params is wave1k.op.params
+    assert wave1k.params == params33
+    assert wave1k.gamma == params33.gamma

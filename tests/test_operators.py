@@ -71,3 +71,29 @@ def test_solve_spd_raises_on_indefinite_matrix(params33):
     op = RadialOperator(build_grid(256, 1e-4, 30.0), params33)
     with pytest.raises(LinAlgError):
         op.solve_spd(np.ones(op.grid.n), -1.0)
+
+
+def test_solve_tridiag_matches_dense_reference(params33):
+    # Newton's Jacobian solve: (K + diag(M * diag)) x = rhs with an
+    # indefinite diag and the two right-hand-side columns of the bordered step
+    rng = np.random.default_rng(3)
+    for grading in ("log", "uniform"):
+        op = RadialOperator(build_grid(257, 1e-3, 30.0, grading), params33)
+        diag = rng.uniform(-3.0, 3.0, op.grid.n) * op.k_diag / op.mass_diag
+        rhs = rng.standard_normal((op.grid.n, 2))
+        kept = rhs.copy()
+        dense = np.diag(op.k_diag + op.mass_diag * diag)
+        dense += np.diag(op.k_lower, 1) + np.diag(op.k_lower, -1)
+        assert np.min(np.diag(dense)) < 0.0 < np.max(np.diag(dense))
+        ref = np.linalg.solve(dense, rhs)
+        x = op.solve_tridiag(diag, rhs)
+        assert x.shape == (op.grid.n, 2)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(rhs, kept)
+    # singular: a tridiagonal matrix with zero diagonal and odd order; on
+    # the integer grid r = 1, ..., 17 the diagonal cancels exactly
+    op = RadialOperator(build_grid(17, 1.0, 17.0, "uniform"), params33)
+    diag = -op.k_diag / op.mass_diag
+    assert not np.any(op.k_diag + op.mass_diag * diag)
+    with pytest.raises(LinAlgError):
+        op.solve_tridiag(diag, np.ones((op.grid.n, 2)))

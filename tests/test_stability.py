@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hardywaves import (
     orbit_distance,
     stability_experiment,
 )
+from hardywaves.evolve import initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import PERTURBATION_KINDS, perturbed_field
 
@@ -67,16 +70,16 @@ def test_unknown_perturbation_kind(wave2k):
         perturbed_field(wave2k, 1e-2, "twist")
 
 
-def test_stability_unperturbed_control(wave2k, params33):
-    run = stability_experiment(params33, wave2k, 0.0, T=2.0, dt=1e-3)
+def test_stability_unperturbed_control(wave2k):
+    run = stability_experiment(wave2k, 0.0, T=2.0, dt=1e-3)
     assert run.max_distance < 1e-6
     assert run.times.shape == run.distances.shape == (100,)
 
 
 @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
-def test_stability_short_runs_stay_close(wave2k, params33, kind):
+def test_stability_short_runs_stay_close(wave2k, kind):
     delta = 1e-2
-    run = stability_experiment(params33, wave2k, delta, perturbation_kind=kind, T=5.0, dt=1e-3)
+    run = stability_experiment(wave2k, delta, perturbation_kind=kind, T=5.0, dt=1e-3)
     assert run.max_distance < 10.0 * delta
     assert np.max(run.charge_drift) < 1e-8
     assert np.max(run.energy_drift) < 1e-6
@@ -85,24 +88,28 @@ def test_stability_short_runs_stay_close(wave2k, params33, kind):
 def test_stability_requires_subcritical(wave2k):
     from hardywaves import ParameterError, Params
 
+    # the wave's problem is its operator's, here outside 2 < q < 2 + 4/N
+    supercritical = replace(wave2k, op=RadialOperator(wave2k.v.grid, Params(N=3, q=4.0)))
     with pytest.raises(ParameterError):
-        stability_experiment(Params(N=3, q=4.0), wave2k, 1e-2, T=1.0)
+        stability_experiment(supercritical, 1e-2, T=1.0)
 
 
 def test_stability_with_equal_weight_specs():
-    # equal but distinct weight specs compare by value, so the wave's
-    # parameters match the run's instead of raising on an array comparison
+    # equal but distinct weight specs compare by value instead of raising
+    # on an array comparison, and a weighted wave runs under its own weight
     grid = build_grid(512, 1e-4, 30.0)
     pa = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
     pb = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
     assert pa == pb
-    run = stability_experiment(pb, normalized_gradient_flow(pa, grid), 1e-3, T=0.1, dt=1e-3)
+    wave = normalized_gradient_flow(pa, grid)
+    assert wave.params == pb
+    run = stability_experiment(wave, 1e-3, T=0.1, dt=1e-3)
     assert run.max_distance < 1e-2
 
 
-def test_stability_experiment_builds_one_operator(wave2k, params33, monkeypatch):
-    # the wave carries its operator, so a run assembles only its initial
-    # state's operator, which propagates every chunk
+def test_stability_experiment_builds_one_operator(wave2k, monkeypatch):
+    # the wave carries its operator, and the run starts on it: the one
+    # operator of the problem is the one the ground-state solve assembled
     built = []
     init = RadialOperator.__init__
 
@@ -111,5 +118,34 @@ def test_stability_experiment_builds_one_operator(wave2k, params33, monkeypatch)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RadialOperator, "__init__", counted)
-    stability_experiment(params33, wave2k, 1e-2, T=0.1, dt=1e-3)
-    assert len(built) <= 1
+    stability_experiment(wave2k, 1e-2, T=0.1, dt=1e-3)
+    assert len(built) == 0
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0, 0.0])
+def test_stability_rejects_bad_final_time(wave2k, T):
+    from hardywaves import ParameterError
+
+    with pytest.raises(ParameterError, match="final time"):
+        stability_experiment(wave2k, 1e-2, T=T, dt=1e-3)
+
+
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_stability_experiment_matches_chained_propagate(wave2k, params33, kind):
+    # the run on the wave's operator gives the bits of the same run made
+    # through the public calls, on an operator initial_state assembles
+    delta, T, dt = 1e-2, 0.2, 1e-3
+    run = stability_experiment(wave2k, delta, perturbation_kind=kind, T=T, dt=dt)
+    state = initial_state(perturbed_field(wave2k, delta, kind), params33)
+    samples = []
+    for _ in range(100):
+        state = propagate(state, dt, 2)  # T / (100 dt) steps per sample
+        charge, energy = invariants(state)
+        samples.append((
+            state.time,
+            orbit_distance(state.v, wave2k),
+            abs(charge - state.charge0) / state.charge0,
+            abs(energy - state.energy0) / max(abs(state.energy0), 1e-300),
+        ))
+    expected = np.array(samples).T
+    assert np.array_equal(expected, [run.times, run.distances, run.charge_drift, run.energy_drift])
