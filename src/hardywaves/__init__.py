@@ -42,7 +42,6 @@ from .groundstate import (
     origin_behavior,
 )
 from .kelvin import (
-    DualField,
     WNormReport,
     kelvin_transform,
     kelvin_verify,

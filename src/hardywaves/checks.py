@@ -165,7 +165,11 @@ def random_fields(
     if support is None:
         support = (10.0 * grid.r_min, grid.r_max / 10.0)
     if support[0] > support[1]:
-        raise ParameterError(f"empty sample support {support}: needs r_max / r_min >= 100")
+        # the ratio r_max / r_min at which this support would be nonempty
+        bound = grid.r_max / grid.r_min * support[0] / support[1]
+        raise ParameterError(
+            f"empty sample support {support}: needs r_max / r_min >= {bound:.4g}"
+        )
     lo, hi = np.log(support[0]), np.log(support[1])
     x = grid.log_nodes
     for k in range(count):

@@ -7,8 +7,9 @@ together with the package version, in every output file.  Scalars go to
 JSON, array data to CSV, all floats with 17 significant digits, so repeated
 runs with identical configurations are byte-identical.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
-(an error JSON with diagnostics is written in the output directory).
+Exit codes: 0 success, 1 configuration or usage error (a package error that
+is a ValueError counts as one), 2 numerical failure (an error JSON with
+diagnostics is written in the output directory).
 """
 
 from __future__ import annotations
@@ -419,10 +420,10 @@ def main(argv=None) -> int:
     except CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ParameterError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except HardyWavesError as exc:  # raised by a handler, so outdir exists
+        if isinstance(exc, ValueError):  # Parameter, Domain, Shape, DegenerateInput
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
         payload = {
             "error": type(exc).__name__,
             "message": str(exc),

@@ -62,12 +62,11 @@ def weighted_dirichlet(v: Field, N: int) -> float:
     return N * unit_ball_volume(N) * dirichlet_form(cell_stiffness(v.grid), v.values)
 
 
-def hardy_cells(u: Field, N: int) -> np.ndarray:
-    """Per-cell Hardy integrand of u with cell-midpoint differences in log r,
-    without the sphere factor: cell i spans nodes i and i+1."""
-    x = u.grid.log_nodes
+def hardy_cells(x: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
+    """Per-cell Hardy integrand of the values vals on the log-nodes x, with
+    cell-midpoint differences in log r and without the sphere factor: cell i
+    spans nodes i and i+1."""
     h = np.diff(x)
-    vals = u.values
     alpha2 = ((N - 2) / 2.0) ** 2
     x_mid = 0.5 * (x[:-1] + x[1:])
     du = np.diff(vals) / h
@@ -86,17 +85,12 @@ def hardy_functional_u(u: Field, N: int, eps: float) -> float:
     grid = u.grid
     if eps < grid.r_min:
         raise DomainError(f"eps={eps} below the grid's r_min={grid.r_min}")
-    total = float(np.sum(hardy_cells(u, N)[grid.nodes[:-1] >= eps]))
-    # zero ghost cell beyond r_max, same width as the last cell
     x = grid.log_nodes
-    vals = u.values
-    alpha2 = ((N - 2) / 2.0) ** 2
-    ht = x[-1] - x[-2]
-    xt = x[-1] + 0.5 * ht
-    total += (np.abs(vals[-1] / ht) ** 2 - alpha2 * np.abs(0.5 * vals[-1]) ** 2) * np.exp(
-        (N - 2) * xt
-    ) * ht
-    return N * unit_ball_volume(N) * total
+    total = float(np.sum(hardy_cells(x, u.values, N)[grid.nodes[:-1] >= eps]))
+    # zero ghost node beyond r_max, one cell wide
+    x_ghost = np.array([x[-1], x[-1] + (x[-1] - x[-2])])
+    ghost = hardy_cells(x_ghost, np.array([u.values[-1], 0.0]), N)
+    return N * unit_ball_volume(N) * (total + ghost[0])
 
 
 def surface_term(u: Field, N: int, eps: float) -> float:
@@ -110,9 +104,7 @@ def surface_term(u: Field, N: int, eps: float) -> float:
     grid = u.grid
     if not (grid.r_min <= eps <= grid.r_max):
         raise DomainError(f"eps={eps} outside grid range [{grid.r_min}, {grid.r_max}]")
-    u_eps = np.interp(np.log(eps), grid.log_nodes, np.real(u.values)) + 1j * np.interp(
-        np.log(eps), grid.log_nodes, np.imag(u.values)
-    )
+    u_eps = np.interp(np.log(eps), grid.log_nodes, u.values)
     return (
         0.5 * (N - 2) * N * unit_ball_volume(N) * eps ** (N - 2) * float(np.abs(u_eps) ** 2)
     )

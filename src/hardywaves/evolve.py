@@ -61,7 +61,7 @@ _ETA_EXP = 0.8
 _ETA_MIN = 2.2e-16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionState:
     """Complex field at one instant, with its conserved-quantity baselines.
 
@@ -76,10 +76,10 @@ class EvolutionState:
     time: float
     charge0: float
     energy0: float
-    op: RadialOperator = field(repr=False, compare=False)
-    history: tuple = field(default=(), repr=False, compare=False)
-    eta: float = field(default=1.0, repr=False, compare=False)
-    eta_dt: float = field(default=0.0, repr=False, compare=False)
+    op: RadialOperator = field(repr=False)
+    history: tuple = field(default=(), repr=False)
+    eta: float = field(default=1.0, repr=False)
+    eta_dt: float = field(default=0.0, repr=False)
 
 
 def initial_state(v: Field, params: Params) -> EvolutionState:

@@ -33,7 +33,7 @@ from scipy.linalg import LinAlgError
 from .energies import EnergyReport, _energy_report
 from .errors import ConvergenceError, DomainError, ParameterError
 from .operators import RadialOperator
-from .radial import Field, Params, RadialGrid, origin_intercept, to_u, unit_ball_volume
+from .radial import Field, Params, RadialGrid, origin_intercept, to_u, to_v, unit_ball_volume
 
 __all__ = [
     "StandingWave",
@@ -51,7 +51,7 @@ _FLOW_DT_MAX = 500.0
 _NEWTON_MAX_STEPS = 120
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandingWave:
     """Converged minimiser with its multiplier and origin diagnostics.
 
@@ -66,7 +66,7 @@ class StandingWave:
     v0: float
     Lambda_origin: float
     residual: float
-    op: RadialOperator = field(repr=False, compare=False)
+    op: RadialOperator = field(repr=False)
     iterations: int = 0
     j_history: tuple = field(default=(), repr=False)
     converged: bool = True
@@ -313,14 +313,15 @@ def fit_origin(u: Field, N: int):
     if np.any(uu == 0.0):
         raise DomainError("profile vanishes inside the origin fit window")
     slope = np.polyfit(np.log(grid.nodes[mask]), np.log(uu), 1)[0]
-    v_vals = np.real(u.values) * grid.nodes ** ((N - 2) / 2.0)
-    v0 = origin_intercept(v_vals[:3], grid, N)
+    v0 = origin_intercept(np.real(to_v(u, N).values[:3]), grid, N)
     return float(slope), float(v0)
 
 
 def origin_behavior(sw: StandingWave):
-    """Origin diagnostics of a converged wave: (exponent of u, v0)."""
-    return fit_origin(to_u(sw.v, sw.params.N), sw.params.N)
+    """Origin diagnostics of a converged wave: (exponent of u, v0), with the
+    wave's own v0, from which its Lambda_origin is computed."""
+    exponent, _ = fit_origin(to_u(sw.v, sw.params.N), sw.params.N)
+    return exponent, sw.v0
 
 
 def oracle_minimize(

@@ -1,10 +1,11 @@
 """Kelvin-transformed dual problem: inversion r -> 1/r, the W-norm with its
 Hardy energy at infinity, and equivalence checks against the direct side.
 
-The image grid of y = x/|x|^2 is represented exactly: reciprocal grids are
-built by negating the log-nodes, so a double reciprocal reproduces the
-original node array bit for bit, and the transform itself is a pure index
-reversal plus nodal scaling (no interpolation).
+The dual side is the direct problem on the reciprocal grid: the W-norm uses
+the direct side's Hardy cell form and surface term, and the transform of a
+field w is a pure index reversal plus nodal scaling (no interpolation) onto
+``reciprocal_grid(w.grid)``.  Reciprocal grids negate the log-nodes, so a
+double reciprocal reproduces the original node array bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import random_fields
-from .energies import hardy_cells, hardy_functional_u, surface_term_limit
-from .errors import ShapeError
-from .radial import Field, RadialGrid, integrate_mu, to_v, unit_ball_volume
+from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
+from .radial import Field, RadialGrid, integrate_mu, log_grid, to_u, to_v, unit_ball_volume
 
 __all__ = [
-    "DualField",
     "reciprocal_grid",
     "kelvin_transform",
     "WNormReport",
@@ -34,11 +33,7 @@ def reciprocal_grid(grid: RadialGrid) -> RadialGrid:
     x = -grid.log_nodes[::-1]
     nodes = np.exp(x)
     if grid.grading == "log":
-        t = np.full(grid.n, x[1] - x[0])
-        t[0] *= 0.5
-        t[-1] *= 0.5
-        weights = t * nodes**2
-        return RadialGrid(nodes=nodes, weights=weights, grading="log", log_nodes=x)
+        return log_grid(x, nodes)
     # other grids invert to non-uniform ones; keep trapezoid weights in r
     t = np.empty(grid.n)
     dr = np.diff(nodes)
@@ -48,27 +43,10 @@ def reciprocal_grid(grid: RadialGrid) -> RadialGrid:
     return RadialGrid(nodes=nodes, weights=t * nodes, grading="nonuniform", log_nodes=x)
 
 
-@dataclass(frozen=True)
-class DualField:
-    """Radial profile w(x) together with the grid of its Kelvin image."""
-
-    w: Field
-    source_grid: RadialGrid
-
-    def __post_init__(self):
-        if not np.array_equal(self.source_grid.log_nodes, -self.w.grid.log_nodes[::-1]):
-            raise ShapeError("source grid must be the reciprocal of the field grid")
-
-    @classmethod
-    def from_field(cls, w: Field) -> "DualField":
-        return cls(w=w, source_grid=reciprocal_grid(w.grid))
-
-
-def kelvin_transform(dual: DualField, N: int) -> Field:
+def kelvin_transform(w: Field, N: int) -> Field:
     """psi(y) = |x|^{N-2} w(x) at y = x/|x|^2, on the reciprocal grid."""
-    scale = np.exp((N - 2) * dual.w.grid.log_nodes)
-    values = (dual.w.values * scale)[::-1]
-    return Field(values=values, grid=dual.source_grid)
+    scale = np.exp((N - 2) * w.grid.log_nodes)
+    return Field(values=(w.values * scale)[::-1], grid=reciprocal_grid(w.grid))
 
 
 @dataclass(frozen=True)
@@ -82,11 +60,8 @@ class WNormReport:
     tail_hardy: tuple       # I over the ball of each tail radius
     tail_surface: tuple     # surface term at each tail radius (enters with +)
 
-    def __float__(self):
-        return self.value
 
-
-def w_norm(dual: DualField, N: int) -> WNormReport:
+def w_norm(w: Field, N: int) -> WNormReport:
     """Squared dual-space norm: I(w) + int |x|^{-4} |w|^2 dx.
 
     The Hardy part is taken over the grid domain without the zero-extension
@@ -96,62 +71,50 @@ def w_norm(dual: DualField, N: int) -> WNormReport:
     radii; the surface term enters additively, mirroring the subtraction on
     the direct side.
     """
-    grid = dual.w.grid
-    w_vals = dual.w.values
+    grid = w.grid
     sphere = N * unit_ball_volume(N)
-    cells = hardy_cells(dual.w, N)
+    cells = hardy_cells(grid.log_nodes, w.values, N)
 
     def hardy_inside(radius: float) -> float:
         return sphere * float(np.sum(cells[grid.nodes[1:] <= radius]))
 
     hardy = hardy_inside(grid.r_max)
-    weighted_mass = sphere * grid.quadrature(grid.nodes ** (N - 6) * np.abs(w_vals) ** 2)
-
+    weighted_mass = sphere * grid.quadrature(grid.nodes ** (N - 6) * np.abs(w.values) ** 2)
     radii = grid.nodes[-3:]
-    tail_hardy = []
-    tail_surface = []
-    for radius in radii:
-        tail_hardy.append(hardy_inside(radius))
-        idx = int(np.searchsorted(grid.nodes, radius))
-        tail_surface.append(
-            0.5 * (N - 2) * sphere * radius ** (N - 2) * float(np.abs(w_vals[idx]) ** 2)
-        )
     return WNormReport(
         value=hardy + weighted_mass,
         hardy=hardy,
         weighted_mass=weighted_mass,
         tail_radii=tuple(float(r) for r in radii),
-        tail_hardy=tuple(tail_hardy),
-        tail_surface=tuple(tail_surface),
+        tail_hardy=tuple(hardy_inside(r) for r in radii),
+        tail_surface=tuple(surface_term(w, N, r) for r in radii),
     )
 
 
-def lambda_infinity(dual: DualField, N: int) -> float:
+def lambda_infinity(w: Field, N: int) -> float:
     """Limit of the surface term at infinity.
 
     Node for node, the surface term of w at radius R equals the surface term
     of psi = K(w) at radius 1/R, so the limit is extrapolated on the image
     side with the same origin-coordinate model as the direct problem.
     """
-    return surface_term_limit(kelvin_transform(dual, N), N)
+    return surface_term_limit(kelvin_transform(w, N), N)
 
 
 def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
-    """Numerical checks used by tests and the CLI: involution error,
-    W-vs-H norm agreement on random fields, and the sign structure of the
-    truncated norms."""
-    decay = np.exp(-(N - 2) / 2.0 * grid.log_nodes)
+    """Numerical checks used by tests and the CLI: involution error and
+    W-vs-H norm agreement on random fields w = to_u(bump sample), which
+    carry the critical r^{-(N-2)/2} factor."""
     worst_inv = 0.0
     worst_iso = 0.0
     for _, _, bumps in random_fields(grid, samples, seed):
-        w_field = Field(values=decay * bumps.values, grid=grid)
-        dual = DualField.from_field(w_field)
-        psi = kelvin_transform(dual, N)
-        back = kelvin_transform(DualField.from_field(psi), N)
-        scale = float(np.max(np.abs(w_field.values))) or 1.0
-        worst_inv = max(worst_inv, float(np.max(np.abs(back.values - w_field.values))) / scale)
+        w = to_u(bumps, N)
+        psi = kelvin_transform(w, N)
+        back = kelvin_transform(psi, N)
+        scale = float(np.max(np.abs(w.values))) or 1.0
+        worst_inv = max(worst_inv, float(np.max(np.abs(back.values - w.values))) / scale)
 
-        wn = w_norm(dual, N).value
+        wn = w_norm(w, N).value
         psi_mass = integrate_mu(np.abs(to_v(psi, N).values) ** 2, psi.grid, N)
         hn = hardy_functional_u(psi, N, eps=psi.grid.r_min) + psi_mass
         worst_iso = max(worst_iso, abs(wn - hn) / max(abs(hn), 1e-300))

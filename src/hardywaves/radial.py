@@ -92,7 +92,9 @@ class Params:
         return self.weight(r)
 
 
-@dataclass(frozen=True)
+# eq=False on the array-holding records: ``==`` is identity and never raises,
+# and values compare with np.array_equal
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing positive radii with quadrature weights for r dr.
 
@@ -175,11 +177,7 @@ def build_grid(
         r = np.exp(x)
         # exact endpoints; exp/log round trips are only ulp-accurate
         r[0], r[-1] = r_min, r_max
-        t = np.full(n, x[1] - x[0])
-        t[0] *= 0.5
-        t[-1] *= 0.5
-        weights = t * r**2  # int f r dr = int f(e^x) e^{2x} dx
-        return RadialGrid(nodes=r, weights=weights, grading="log", log_nodes=x)
+        return log_grid(x, r)
     if grading == "uniform":
         r = np.linspace(r_min, r_max, n)
         t = np.full(n, r[1] - r[0])
@@ -190,7 +188,16 @@ def build_grid(
     raise ParameterError(f"unknown grading {grading!r}; use 'log' or 'uniform'")
 
 
-@dataclass(frozen=True)
+def log_grid(x: np.ndarray, r: np.ndarray) -> RadialGrid:
+    """Log-graded grid on the uniform log-nodes x with nodes r = e^x, and the
+    half-end trapezoid weights t r^2 of int f r dr = int f(e^x) e^{2x} dx."""
+    t = np.full(x.shape[0], x[1] - x[0])
+    t[0] *= 0.5
+    t[-1] *= 0.5
+    return RadialGrid(nodes=r, weights=t * r**2, grading="log", log_nodes=x)
+
+
+@dataclass(frozen=True, eq=False)
 class Field:
     """Nodal samples of a radial profile, tied to its grid."""
 

@@ -32,7 +32,7 @@ PERTURBATION_KINDS = ("radial-bump", "phase-ramp", "mass-preserving-deformation"
 _SAMPLES = 100  # orbit-distance samples per run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityRun:
     """Orbit distance and conservation drifts sampled along one run."""
 

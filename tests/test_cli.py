@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardywaves import cli
+from hardywaves import cli, errors, unit_ball_volume
 from hardywaves.cli import main
 
 
@@ -31,6 +31,10 @@ def test_ground_state_command(tmp_path):
     summary = read_json(out / "ground_state_summary.json")
     assert summary["residual"] < 1e-8
     assert summary["v0"] > 0.0
+    # the written v0 is the one Lambda_origin is computed from, bit for bit
+    N = 3
+    lam_origin = 0.5 * N * (N - 2) * unit_ball_volume(N) * summary["v0"] ** 2
+    assert summary["Lambda_origin"] == lam_origin
     assert len(summary["config_sha256"]) == 64
     assert summary["version"]
     profile = (out / "ground_state_profile.csv").read_text().splitlines()
@@ -411,7 +415,8 @@ def test_empty_sample_support_is_config_error(command, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli([*command, "--r-min", "0.5", "--r-max", "2", "--n", "256",
                     "--samples", "2", "--outdir", str(out)]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "r_max / r_min >= 100" in err
     assert not list(out.glob("*.json"))
 
 
@@ -494,3 +499,49 @@ def test_bad_numeric_input_is_config_error(argv, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert not list(out.glob("*_summary.json")) and not list(out.glob("*.csv"))
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.ParameterError, 1),
+    (errors.DomainError, 1),
+    (errors.ShapeError, 1),
+    (errors.DegenerateInputError, 1),
+    (errors.ConvergenceError, 2),
+    (errors.StepError, 2),
+    (errors.BlowupError, 2),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_error_class_decides_exit_code(error, code, tmp_path, monkeypatch):
+    # a package error that is a ValueError is bad input (exit 1, no
+    # error.json); a RuntimeError one is a numerical failure (exit 2)
+    def handler(cfg, outdir, meta):
+        raise error("raised by the handler")
+
+    _, defaults = cli._COMMANDS["ground-state"]
+    monkeypatch.setitem(cli._COMMANDS, "ground-state", (handler, defaults))
+    out = tmp_path / "out"
+    assert run_cli(["ground-state", "--outdir", str(out)]) == code
+    assert (out / "error.json").exists() == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--r-min", "2", "--n", "512"],
+    ["--grading", "uniform", *SMALL_GRID],
+], ids=["r-min-above-1", "uniform-grading"])
+def test_ground_state_input_without_origin_fit_is_config_error(argv, tmp_path, capsys):
+    # no grid node below r = 1, or fewer than 4 nodes in the origin fit window
+    out = tmp_path / "out"
+    assert run_cli(["ground-state", *argv, "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
+def test_log_weight_support_message_names_its_bound(tmp_path, capsys):
+    # r_max / r_min = 500 clears the ensemble's 100 but not the log-weight
+    # support's 100 e^2
+    out = tmp_path / "out"
+    assert run_cli(["check", "ihs", "--h-kind", "log-weight", "--r-min", "1e-3",
+                    "--r-max", "0.5", "--n", "256", "--samples", "2",
+                    "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "r_max / r_min >= 738.9" in err
+    assert not list(out.glob("*.json"))

@@ -88,6 +88,18 @@ def test_hardy_gaussian_norm_limit_structure(grid8k):
     assert abs(bare - wd - 2.0 * np.pi) < 1e-4
 
 
+@pytest.mark.parametrize("N, a", [(3, 0.7), (5, 0.7 - 0.4j)])
+def test_hardy_functional_of_last_node_field(grid2k, N, a):
+    # only the last grid cell and the zero ghost cell beyond r_max see the field
+    x = grid2k.log_nodes
+    h = x[-1] - x[-2]
+    integrand = abs(a / h) ** 2 - ((N - 2) / 2.0) ** 2 * abs(a / 2) ** 2
+    cells = integrand * h * (np.exp((N - 2) * (x[-1] - h / 2)) + np.exp((N - 2) * (x[-1] + h / 2)))
+    u = Field(values=np.r_[np.zeros(grid2k.n - 1), a], grid=grid2k)
+    expected = N * unit_ball_volume(N) * cells
+    assert hardy_functional_u(u, N, grid2k.r_min) == pytest.approx(expected, rel=1e-13)
+
+
 def test_hardy_domain_error(grid2k):
     u = Field(values=np.zeros(grid2k.n), grid=grid2k)
     with pytest.raises(DomainError):

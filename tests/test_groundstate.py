@@ -143,7 +143,7 @@ def test_origin_behavior_of_wave(wave1k):
     exponent, v0 = origin_behavior(wave1k)
     assert abs(exponent + 0.5) < 0.05
     assert v0 > 0.0
-    assert v0 == pytest.approx(wave1k.v0, rel=1e-12)
+    assert v0 == wave1k.v0
 
 
 def test_oracle_budget_zero_returns_initial(params33):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hardywaves import (
-    DualField,
     Field,
     build_grid,
     hardy_functional_u,
@@ -36,15 +35,15 @@ def tail_field(grid, c=1.7, N=3):
 def test_kelvin_of_fundamental_power(wide_grid):
     # w = r^{-(N-2)}: psi == 1 on the reciprocal grid
     w = Field(values=wide_grid.nodes**-1.0, grid=wide_grid)
-    psi = kelvin_transform(DualField.from_field(w), 3)
+    psi = kelvin_transform(w, 3)
     assert np.max(np.abs(psi.values - 1.0)) < 1e-13
 
 
 def test_kelvin_involution(wide_grid):
     rng = np.random.default_rng(1)
     w = Field(values=rng.normal(size=wide_grid.n), grid=wide_grid)
-    psi = kelvin_transform(DualField.from_field(w), 3)
-    back = kelvin_transform(DualField.from_field(psi), 3)
+    psi = kelvin_transform(w, 3)
+    back = kelvin_transform(psi, 3)
     scale = np.max(np.abs(w.values))
     assert np.max(np.abs(back.values - w.values)) < 1e-13 * scale
     # the double-reciprocal grid is exact in the log representation
@@ -55,20 +54,22 @@ def test_kelvin_involution(wide_grid):
 def test_reciprocal_grid_structure(wide_grid):
     rec = reciprocal_grid(wide_grid)
     assert np.array_equal(rec.log_nodes, -wide_grid.log_nodes[::-1])
+    psi = kelvin_transform(Field(values=np.ones(wide_grid.n), grid=wide_grid), 3)
+    assert np.array_equal(psi.grid.log_nodes, rec.log_nodes)
     assert np.all(np.diff(rec.nodes) > 0)
 
 
 def test_kelvin_swaps_singularity_ends(wide_grid):
     # w ~ r^{-(N-2)/2} at infinity maps to psi ~ rho^{-(N-2)/2} near zero
     w = tail_field(wide_grid)
-    psi = kelvin_transform(DualField.from_field(w), 3)
+    psi = kelvin_transform(w, 3)
     rho = psi.grid.nodes[:5]
     assert np.allclose(psi.values[:5], 1.7 * rho**-0.5, rtol=1e-12)
 
 
 def test_w_norm_zero(wide_grid):
-    dual = DualField.from_field(Field(values=np.zeros(wide_grid.n), grid=wide_grid))
-    assert w_norm(dual, 3).value == 0.0
+    w = Field(values=np.zeros(wide_grid.n), grid=wide_grid)
+    assert w_norm(w, 3).value == 0.0
 
 
 def test_w_norm_isometry_with_direct_side(wide_grid):
@@ -81,9 +82,9 @@ def test_w_norm_isometry_with_direct_side(wide_grid):
 
 def test_lambda_infinity_reproduces_origin_formula(wide_grid):
     c = 1.7
-    dual = DualField.from_field(tail_field(wide_grid, c=c))
+    w = tail_field(wide_grid, c=c)
     target = 0.5 * 3 * 1 * unit_ball_volume(3) * c**2
-    assert abs(lambda_infinity(dual, 3) - target) / target < 1e-2
+    assert abs(lambda_infinity(w, 3) - target) / target < 1e-2
 
 
 def test_surface_sign_structure(wide_grid):
@@ -91,14 +92,15 @@ def test_surface_sign_structure(wide_grid):
     # level across tail radii, Lambda > 0); direct side: the norm subtracts
     # it (I - Lambda recovers the weighted Dirichlet energy from above)
     N = 3
-    dual = DualField.from_field(tail_field(wide_grid))
-    report = w_norm(dual, N)
+    w = tail_field(wide_grid)
+    report = w_norm(w, N)
     assert all(s > 0.0 for s in report.tail_surface)
+    assert report.tail_surface == tuple(surface_term(w, N, r) for r in report.tail_radii)
     combined = [i + s for i, s in zip(report.tail_hardy, report.tail_surface)]
     spread = max(combined) - min(combined)
     assert spread < 1e-2 * combined[-1]
 
-    psi = kelvin_transform(dual, N)
+    psi = kelvin_transform(w, N)
     grid_psi = psi.grid
     eps = grid_psi.nodes[0]
     bare = hardy_functional_u(psi, N, eps)
@@ -112,9 +114,9 @@ def test_surface_sign_structure(wide_grid):
 def test_w_norm_mass_part_matches_direct_mass(wide_grid):
     # int |x|^{-4} |w|^2 dx == int |psi|^2 dy, node for node
     N = 3
-    dual = DualField.from_field(tail_field(wide_grid))
-    psi = kelvin_transform(dual, N)
-    report = w_norm(dual, N)
+    w = tail_field(wide_grid)
+    psi = kelvin_transform(w, N)
+    report = w_norm(w, N)
     psi_mass = integrate_mu(np.abs(to_v(psi, N).values) ** 2, psi.grid, N)
     assert abs(report.weighted_mass - psi_mass) < 1e-12 * psi_mass
 

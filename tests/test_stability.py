@@ -7,6 +7,7 @@ from hardywaves import (
     Field,
     Params,
     ShapeError,
+    StabilityRun,
     WeightSpec,
     build_grid,
     normalized_gradient_flow,
@@ -149,3 +150,20 @@ def test_stability_experiment_matches_chained_propagate(wave2k, params33, kind):
         ))
     expected = np.array(samples).T
     assert np.array_equal(expected, [run.times, run.distances, run.charge_drift, run.energy_drift])
+
+
+def test_array_records_compare_by_identity(wave2k, params33):
+    # == on records holding arrays is identity and never raises; values
+    # compare with np.array_equal
+    run = dict(delta=0.1, times=[0.0, 1.0], distances=[0.0, 0.1],
+               charge_drift=[0.0, 0.0], energy_drift=[0.0, 0.0])
+    pairs = [
+        (build_grid(256, 1e-4, 30.0), build_grid(256, 1e-4, 30.0)),
+        (wave2k.v, wave2k.v.with_values(wave2k.v.values)),
+        (wave2k, replace(wave2k)),
+        (initial_state(wave2k.v, params33), initial_state(wave2k.v, params33)),
+        (StabilityRun(**run), StabilityRun(**run)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert len({a, b}) == 2
