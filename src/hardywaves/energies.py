@@ -54,9 +54,9 @@ class EnergyReport:
 def weighted_dirichlet(v: Field, N: int) -> float:
     """Weighted Dirichlet energy: int |x|^{-(N-2)} |grad v|^2 dx.
 
-    Piecewise-linear (cell) form in the native coordinate, including the
+    Piecewise-linear (cell) form in log r, with s_i = 1/h, including the
     zero-extension tail cell beyond r_max; exact for fields piecewise linear
-    in that coordinate.
+    in log r.
     """
     N = check_dimension(N)
     return N * unit_ball_volume(N) * dirichlet_form(cell_stiffness(v.grid), v.values)

@@ -33,7 +33,8 @@ from scipy.linalg import LinAlgError
 from .energies import EnergyReport, _energy_report
 from .errors import ConvergenceError, DomainError, ParameterError
 from .operators import RadialOperator
-from .radial import Field, Params, RadialGrid, origin_intercept, to_u, to_v, unit_ball_volume
+from .radial import (Field, Params, RadialGrid, check_origin_nodes, origin_intercept, to_u, to_v,
+                     unit_ball_volume)
 
 __all__ = [
     "StandingWave",
@@ -208,6 +209,7 @@ def normalized_gradient_flow(
         raise ParameterError(
             f"ground state solve requires q <= 2 + 4/N = {2 + 4.0 / params.N:.6g}, got q={params.q}"
         )
+    check_origin_nodes(grid)  # the wave's v0 needs it: fail before the solve
     op = RadialOperator(grid, params)
     gamma = params.gamma
     if init is None:
@@ -297,6 +299,16 @@ def _package(op, v, lam, rn, iterations, j_history, converged=True):
     )
 
 
+def origin_fit_window(grid: RadialGrid) -> np.ndarray:
+    """Mask of the nodes in [10 r_min, 1000 r_min], where fit_origin fits
+    its power law; DomainError when it selects fewer than 4 nodes."""
+    lo, hi = 10.0 * grid.r_min, 1e3 * grid.r_min
+    mask = (grid.nodes >= lo) & (grid.nodes <= hi)
+    if np.count_nonzero(mask) < 4:
+        raise DomainError(f"fit window [{lo}, {hi}] selects fewer than 4 grid nodes")
+    return mask
+
+
 def fit_origin(u: Field, N: int):
     """(power-law exponent, extrapolated v0) of a u-form profile.
 
@@ -305,10 +317,7 @@ def fit_origin(u: Field, N: int):
     linearly in the origin coordinate t.
     """
     grid = u.grid
-    lo, hi = 10.0 * grid.r_min, 1e3 * grid.r_min
-    mask = (grid.nodes >= lo) & (grid.nodes <= hi)
-    if np.count_nonzero(mask) < 4:
-        raise DomainError(f"fit window [{lo}, {hi}] selects fewer than 4 grid nodes")
+    mask = origin_fit_window(grid)
     uu = np.abs(np.real(u.values[mask]))
     if np.any(uu == 0.0):
         raise DomainError("profile vanishes inside the origin fit window")

@@ -31,16 +31,7 @@ __all__ = [
 def reciprocal_grid(grid: RadialGrid) -> RadialGrid:
     """Grid with nodes 1/r (ascending), exact in the log coordinate."""
     x = -grid.log_nodes[::-1]
-    nodes = np.exp(x)
-    if grid.grading == "log":
-        return log_grid(x, nodes)
-    # other grids invert to non-uniform ones; keep trapezoid weights in r
-    t = np.empty(grid.n)
-    dr = np.diff(nodes)
-    t[0] = dr[0] / 2
-    t[-1] = dr[-1] / 2
-    t[1:-1] = (dr[:-1] + dr[1:]) / 2
-    return RadialGrid(nodes=nodes, weights=t * nodes, grading="nonuniform", log_nodes=x)
+    return log_grid(x, np.exp(x))
 
 
 def kelvin_transform(w: Field, N: int) -> Field:

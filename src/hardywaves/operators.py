@@ -2,17 +2,16 @@
 state solver, and the propagator.
 
 The operator r^{-1} (r v')' is discretised by piecewise-linear elements in
-the grid's native coordinate and symmetrised in the r dr inner product:
-stiffness K (tridiagonal, positive semidefinite) and lumped mass
-M = diag(quadrature weights).  The boundary conditions are a reflecting
-ghost at the origin end (v'(0) = 0) and a zero ghost cell beyond r_max
-(v(r_max+) = 0), so the Dirichlet quadratic form reads
+x = log r and symmetrised in the r dr inner product: stiffness K
+(tridiagonal, positive semidefinite) and lumped mass M = diag(quadrature
+weights).  The boundary conditions are a reflecting ghost at the origin end
+(v'(0) = 0) and a zero ghost cell beyond r_max (v(r_max+) = 0), so the
+Dirichlet quadratic form reads
 
     v^T K v = sum_cells s_i |v_{i+1} - v_i|^2 + s_n |v_n|^2 .
 
-Per-cell coefficients s_i = [int_cell (r / dr/dxi) dxi] / (dxi)^2 make the
-form exact for fields piecewise linear in the native coordinate; on a log
-grid s_i = 1/h.
+Since r dr |v'|^2 = dx |dv/dx|^2, the per-cell coefficients s_i = 1/h, with
+h the log step, make the form exact for fields piecewise linear in log r.
 
 Second differences are assembled as differences of first differences: for
 smooth nodal data the first differences are exact (Sterbenz), which keeps
@@ -38,22 +37,12 @@ _ZGTSV, _ZGTTRF, _ZGTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np
 
 
 def cell_stiffness(grid: RadialGrid) -> np.ndarray:
-    """Per-cell stiffness coefficients s_i (length n: n-1 cells + ghost tail).
+    """Per-cell stiffness coefficients s_i = 1/h (length n: n-1 cells + ghost tail).
 
     s_i multiplies |v_{i+1} - v_i|^2 in the Dirichlet form; the last entry
     belongs to the zero ghost cell beyond r_max and multiplies |v_n|^2.
     """
-    if grid.grading == "log":
-        h = grid.log_step
-        return np.full(grid.n, 1.0 / h)
-    # any other grading: int_cell r dr / dr^2 = (r_{i+1}^2 - r_i^2) / (2 dr^2)
-    r = grid.nodes
-    dr = np.diff(r)
-    s = np.empty(grid.n)
-    s[:-1] = (r[1:] ** 2 - r[:-1] ** 2) / (2.0 * dr**2)
-    tail = dr[-1]
-    s[-1] = ((r[-1] + tail) ** 2 - r[-1] ** 2) / (2.0 * tail**2)
-    return s
+    return np.full(grid.n, 1.0 / grid.log_step)
 
 
 def dirichlet_form(s: np.ndarray, v: np.ndarray) -> float:

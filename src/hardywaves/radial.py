@@ -96,35 +96,37 @@ class Params:
 # and values compare with np.array_equal
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive radii with quadrature weights for r dr.
+    """Radii r = e^x on log-nodes x equally spaced by h, with quadrature
+    weights for r dr.
 
-    ``weights`` realise the trapezoid rule in the grid's native coordinate
-    (log r or r), applied to the transformed integrand, so that
-    ``sum(weights * f(nodes))`` approximates ``int f(r) r dr`` at second
-    order, with positive weights.  ``grading`` is "log" (uniform in log r),
-    "uniform" (in r) or "nonuniform" (the reciprocal of a uniform grid).
+    ``weights`` realise the trapezoid rule in log r, applied to the
+    transformed integrand f(e^x) e^{2x}, so that ``sum(weights * f(nodes))``
+    approximates ``int f(r) r dr`` at second order, with positive weights.
     ``log_nodes`` is kept alongside ``nodes`` because several operations
-    (stencils, reciprocal grids) are exact in the log coordinate.
+    (stencils, reciprocal grids) are exact in the log coordinate; the
+    stiffness 1/h holds only on equally spaced log-nodes, so unequal ones
+    are rejected.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    grading: str
-    log_nodes: np.ndarray = field(repr=False, default=None)
+    log_nodes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ShapeError("nodes and weights must be 1-d arrays of equal length")
+        log_nodes = np.asarray(self.log_nodes, dtype=float)
+        if nodes.ndim != 1 or nodes.size < 2 or not nodes.shape == weights.shape == log_nodes.shape:
+            raise ShapeError("nodes, weights and log_nodes must be 1-d arrays of one length >= 2")
         if not np.all(nodes > 0.0) or not np.all(np.diff(nodes) > 0.0):
             raise ParameterError("grid nodes must be positive and strictly increasing")
         if not np.all(weights > 0.0):
             raise ParameterError("quadrature weights must be positive")
-        log_nodes = self.log_nodes
-        if log_nodes is None:
-            log_nodes = np.log(nodes)
-        log_nodes = np.asarray(log_nodes, dtype=float)
+        # step spread in units of eps max|x|; linspace rounding keeps build_grid's below 2
+        steps = np.diff(log_nodes)
+        spread = np.ptp(steps) / (np.finfo(float).eps * np.max(np.abs(log_nodes)))
+        if not (steps.min() > 0.0 and spread <= 16.0):
+            raise ParameterError("log-nodes must be increasing and equally spaced")
         for name, arr in (("nodes", nodes), ("weights", weights), ("log_nodes", log_nodes)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -143,7 +145,7 @@ class RadialGrid:
 
     @property
     def log_step(self) -> float:
-        """Uniform spacing in log r (only meaningful for log grading)."""
+        """The spacing h of the log-nodes."""
         return float(self.log_nodes[1] - self.log_nodes[0])
 
     def quadrature(self, samples: np.ndarray) -> float:
@@ -156,45 +158,27 @@ class RadialGrid:
         return float(np.real(np.sum(self.weights * samples)))
 
 
-def build_grid(
-    n: int,
-    r_min: float,
-    r_max: float,
-    grading: str = "log",
-) -> RadialGrid:
-    """Build a radial grid with ``n`` nodes on [r_min, r_max].
-
-    grading "log" places nodes uniformly in log r (the default; it resolves
-    the power-law region near the origin), "uniform" places them uniformly
-    in r.
-    """
+def build_grid(n: int, r_min: float, r_max: float) -> RadialGrid:
+    """Build a radial grid with ``n`` nodes on [r_min, r_max], uniform in
+    log r, which resolves the power-law region near the origin."""
     if n < 16:
         raise ParameterError(f"need at least 16 nodes, got {n}")
     if not (0.0 < r_min < r_max) or not math.isfinite(r_max):
         raise ParameterError(f"invalid radial bounds ({r_min}, {r_max})")
-    if grading == "log":
-        x = np.linspace(math.log(r_min), math.log(r_max), n)
-        r = np.exp(x)
-        # exact endpoints; exp/log round trips are only ulp-accurate
-        r[0], r[-1] = r_min, r_max
-        return log_grid(x, r)
-    if grading == "uniform":
-        r = np.linspace(r_min, r_max, n)
-        t = np.full(n, r[1] - r[0])
-        t[0] *= 0.5
-        t[-1] *= 0.5
-        weights = t * r
-        return RadialGrid(nodes=r, weights=weights, grading="uniform", log_nodes=np.log(r))
-    raise ParameterError(f"unknown grading {grading!r}; use 'log' or 'uniform'")
+    x = np.linspace(math.log(r_min), math.log(r_max), n)
+    r = np.exp(x)
+    # exact endpoints; exp/log round trips are only ulp-accurate
+    r[0], r[-1] = r_min, r_max
+    return log_grid(x, r)
 
 
 def log_grid(x: np.ndarray, r: np.ndarray) -> RadialGrid:
-    """Log-graded grid on the uniform log-nodes x with nodes r = e^x, and the
+    """Grid on the equally spaced log-nodes x with nodes r = e^x, and the
     half-end trapezoid weights t r^2 of int f r dr = int f(e^x) e^{2x} dx."""
     t = np.full(x.shape[0], x[1] - x[0])
     t[0] *= 0.5
     t[-1] *= 0.5
-    return RadialGrid(nodes=r, weights=t * r**2, grading="log", log_nodes=x)
+    return RadialGrid(nodes=r, weights=t * r**2, log_nodes=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +231,18 @@ def log_time_coordinate(r, N: int):
     return float(t) if np.isscalar(r) else t
 
 
+def check_origin_nodes(grid: RadialGrid) -> None:
+    """Raise DomainError unless the three smallest nodes, which
+    origin_intercept fits, lie below r = 1, where the origin coordinate is
+    defined."""
+    if np.any(grid.nodes[:3] >= 1.0):
+        raise DomainError("origin extrapolation needs three grid nodes below r = 1")
+
+
 def origin_intercept(samples, grid: RadialGrid, N: int) -> float:
     """Value at r = 0 of the least-squares line in t = log_time_coordinate(r)
-    through samples at the three smallest nodes; needs r_min < 1."""
-    if grid.r_min >= 1.0:
-        raise DomainError("origin extrapolation needs grid nodes below r = 1")
+    through samples at the three smallest nodes, which must lie below r = 1."""
+    check_origin_nodes(grid)
     t = log_time_coordinate(grid.nodes[:3], N)
     design = np.vstack([np.ones_like(t), t]).T
     coef, *_ = np.linalg.lstsq(design, samples, rcond=None)

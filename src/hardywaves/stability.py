@@ -104,6 +104,18 @@ def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
     return sw.v.with_values(_renormalize(op, v, sw.gamma))
 
 
+def check_run(deltas, T: float, dt: float) -> None:
+    """Raise ParameterError unless the perturbation sizes are a nonempty
+    list of numbers >= 0 and the final time T and the step dt are finite and
+    positive."""
+    if not deltas or not all(delta >= 0.0 for delta in deltas):
+        raise ParameterError(f"delta must be a nonempty list of numbers >= 0, got {deltas}")
+    if not 0.0 < T < np.inf:
+        raise ParameterError(f"final time T must be finite and positive, got {T}")
+    if not 0.0 < dt < np.inf:
+        raise ParameterError(f"time step must be finite and positive, got {dt}")
+
+
 def stability_experiment(
     sw: StandingWave,
     delta: float,
@@ -113,10 +125,7 @@ def stability_experiment(
 ) -> StabilityRun:
     """Perturb the wave, evolve it on its own operator to time T, and sample
     the orbit distance, in its energy norm, at 100 uniformly spaced times."""
-    if delta < 0.0:
-        raise ParameterError("perturbation size must be nonnegative")
-    if not 0.0 < T < np.inf:
-        raise ParameterError(f"final time T must be finite and positive, got {T}")
+    check_run([delta], T, dt)
     sw.params.require_subcritical("stability experiments")
     start = _start(sw.op, perturbed_field(sw, delta, perturbation_kind))
     steps_per_sample = max(1, int(round(T / (_SAMPLES * dt))))

@@ -257,6 +257,22 @@ def test_every_table_key_is_a_config_field(name, key, tmp_path):
     assert cli._resolve(args, defaults)[key] == expected
 
 
+# config_sha256 of each command's defaults: every artifact carries it, so a
+# drift in the keys, their values or the canonical JSON shows here
+DEFAULT_HASHES = {
+    "ground-state": "f7492db529a72fc7bcc7d04748eed27df01e4944870f5249ff851f727f3cba37",
+    "evolve": "03f866f32b4ac90cdb2d9e4fa272889bcf97b9224e48f212af67799ad981fc78",
+    "stability": "9e3e66024b75ea65d485af147516a879c247c97b71ada738a1d21b944f1f6c73",
+    "check": "27e73ab6c9378fd3e670d662db7ff8175e6a1613ef31e5d4d7bdb61a764d4034",
+    "kelvin-verify": "8c5f29acc2821962337118f00ea10eae5a141765bb728d410ef6202f2a9c3626",
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_default_config_hash_is_pinned(name):
+    assert cli.config_hash(cli._COMMANDS[name][1]) == DEFAULT_HASHES[name]
+
+
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
 def test_other_commands_key_is_rejected(name, tmp_path, capsys):
     defaults = cli._COMMANDS[name][1]
@@ -420,13 +436,19 @@ def test_empty_sample_support_is_config_error(command, tmp_path, capsys):
     assert not list(out.glob("*.json"))
 
 
-def test_kelvin_verify_rejects_uniform_grading(tmp_path, capsys):
-    # a uniform grid cannot resolve the log-r ensemble, so the check could not pass
-    out = tmp_path / "kv"
-    assert run_cli(["kelvin-verify", "--n", "256", "--samples", "2", "--grading", "uniform",
-                    "--outdir", str(out)]) == 1
-    assert "config error" in capsys.readouterr().err
-    assert not (out / "kelvin_verify.json").exists()
+@pytest.mark.parametrize("command", [
+    ["ground-state"], ["evolve"], ["stability"], ["check", "hardy"], ["kelvin-verify"],
+], ids=["ground-state", "evolve", "stability", "check", "kelvin-verify"])
+def test_uniform_grading_is_invalid_choice(command, tmp_path, capsys):
+    # grids are uniform in log r only: "uniform" is no choice, as a flag or
+    # in a config file
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grading": "uniform"}))
+    for source in (["--grading", "uniform"], ["--config", str(config)]):
+        out = tmp_path / "out"
+        assert run_cli([*command, *source, "--outdir", str(out)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_linear_evolve_factors_the_cayley_matrix_once(tmp_path, monkeypatch):
@@ -492,8 +514,11 @@ def test_empty_sample_count_is_config_error(command, samples, tmp_path, capsys):
     ["stability", "--T", "nan", "--tol", "1e-8"],
     ["stability", "--T", "-1", "--tol", "1e-8"],
     ["stability", "--dt", "inf", "--tol", "1e-8"],
+    ["stability", "--dt", "0", "--tol", "1e-8"],
+    ["stability", "--dt", "nan", "--tol", "1e-8"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_numeric_input_is_config_error(argv, tmp_path, capsys):
+def test_bad_numeric_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    _fail_if_solved(monkeypatch)  # stability checks T and dt before its solve
     out = tmp_path / "out"
     assert run_cli([*argv, *SMALL_GRID, "--outdir", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
@@ -523,15 +548,31 @@ def test_error_class_decides_exit_code(error, code, tmp_path, monkeypatch):
     assert (out / "error.json").exists() == (code == 2)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--r-min", "2", "--n", "512"],
-    ["--grading", "uniform", *SMALL_GRID],
-], ids=["r-min-above-1", "uniform-grading"])
-def test_ground_state_input_without_origin_fit_is_config_error(argv, tmp_path, capsys):
-    # no grid node below r = 1, or fewer than 4 nodes in the origin fit window
+def _fail_if_solved(monkeypatch):
+    # the solve starts by assembling the operator
+    from hardywaves import groundstate
+
+    def assemble(*args):
+        raise AssertionError("the solver ran on a grid it cannot use")
+
+    monkeypatch.setattr(groundstate, "RadialOperator", assemble)
+
+
+@pytest.mark.parametrize("command, argv", [
+    (["ground-state"], ["--r-min", "2", "--n", "512"]),
+    (["ground-state"], ["--n", "512", "--r-min", "0.5", "--r-max", "3"]),
+    (["ground-state"], ["--n", "16", "--r-min", "0.9", "--r-max", "1e4"]),
+    (["stability"], ["--r-min", "2", "--n", "512"]),
+], ids=["r-min-above-1", "short-fit-window", "third-node-above-1", "stability-r-min-above-1"])
+def test_ground_state_input_without_origin_fit_is_config_error(command, argv, tmp_path,
+                                                               monkeypatch, capsys):
+    # fewer than three grid nodes below r = 1, or fewer than 4 nodes in the
+    # origin fit window [10 r_min, 1000 r_min]: found before the solve
+    _fail_if_solved(monkeypatch)
     out = tmp_path / "out"
-    assert run_cli(["ground-state", *argv, "--outdir", str(out)]) == 1
-    assert "config error" in capsys.readouterr().err
+    assert run_cli([*command, *argv, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and ("below r = 1" in err or "fit window" in err)
     assert not (out / "error.json").exists()
 
 

@@ -6,6 +6,7 @@ from scipy.linalg import LinAlgError
 
 from hardywaves import (
     ConvergenceError,
+    DomainError,
     Field,
     ParameterError,
     Params,
@@ -88,6 +89,19 @@ def test_flow_gamma_scaling_observation(grid1k):
 def test_flow_rejects_supercritical_q(grid1k):
     with pytest.raises(ParameterError):
         normalized_gradient_flow(Params(N=3, q=3.5), grid1k)
+
+
+def test_flow_rejects_grid_without_origin_nodes(params33, monkeypatch):
+    # the wave's v0 is extrapolated from nodes below r = 1: a grid without
+    # them fails before the operator is assembled
+    from hardywaves import groundstate
+
+    def assemble(*args):
+        raise AssertionError("the solver ran on a grid it cannot use")
+
+    monkeypatch.setattr(groundstate, "RadialOperator", assemble)
+    with pytest.raises(DomainError, match="below r = 1"):
+        normalized_gradient_flow(params33, build_grid(256, 1.0, 30.0))
 
 
 def test_flow_with_radial_weight(grid1k):

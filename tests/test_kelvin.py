@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from hardywaves import (
     unit_ball_volume,
     w_norm,
 )
-from hardywaves.operators import cell_stiffness
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +116,3 @@ def test_w_norm_mass_part_matches_direct_mass(wide_grid):
     report = w_norm(w, N)
     psi_mass = integrate_mu(np.abs(to_v(psi, N).values) ** 2, psi.grid, N)
     assert abs(report.weighted_mass - psi_mass) < 1e-12 * psi_mass
-
-
-def test_reciprocal_of_uniform_grid_is_labelled_nonuniform():
-    grid = build_grid(512, 1e-2, 10.0, grading="uniform")
-    dual = reciprocal_grid(grid)
-    assert dual.grading == "nonuniform"
-    assert not np.allclose(np.diff(dual.nodes), dual.nodes[1] - dual.nodes[0])
-    # the label only names the branch: the per-cell stiffness is the one the
-    # old "uniform" label gave
-    assert np.array_equal(cell_stiffness(dual), cell_stiffness(replace(dual, grading="uniform")))

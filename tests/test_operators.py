@@ -20,19 +20,17 @@ def cayley_reference(op, potential, v, dt):
     return solve_banded((1, 1), ab, rhs)
 
 
-# ids keep the names of the cases with a potential, which were parametrised
-# by precomputed_rhs alone
+# ids keep the names of the log-grid cases from when the grid kind was a
+# parameter
 @pytest.mark.parametrize("with_potential, precomputed_rhs", [
-    pytest.param(True, False, id="False"),
-    pytest.param(True, True, id="True"),
-    pytest.param(False, False, id="no-potential"),
+    pytest.param(True, False, id="log-False"),
+    pytest.param(True, True, id="log-True"),
+    pytest.param(False, False, id="log-no-potential"),
 ])
-@pytest.mark.parametrize("grading", ["log", "uniform"])
-def test_solve_cayley_matches_banded_reference(grading, with_potential, precomputed_rhs,
-                                               params33):
+def test_solve_cayley_matches_banded_reference(with_potential, precomputed_rhs, params33):
     # without a potential solve_cayley back-substitutes with cached factors
     # of the fixed matrix; alternating dt checks that they follow dt
-    op = RadialOperator(build_grid(2048, 1e-6, 50.0, grading), params33)
+    op = RadialOperator(build_grid(2048, 1e-6, 50.0), params33)
     n = op.grid.n
     rng = np.random.default_rng(11)
     for dt in (1e-3, 2e-2, 1e-3):
@@ -48,11 +46,13 @@ def test_solve_cayley_matches_banded_reference(grading, with_potential, precompu
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("grading", ["log", "uniform"])
-def test_solve_spd_matches_banded_reference(grading, params33):
+# the id keeps the name of the log-grid case from when the grid kind was a
+# parameter
+@pytest.mark.parametrize("r_min", [pytest.param(1e-6, id="log")])
+def test_solve_spd_matches_banded_reference(r_min, params33):
     # solveh_banded sends a two-row band to ptsv as well: the direct call
     # must give the same bits
-    op = RadialOperator(build_grid(2048, 1e-6, 50.0, grading), params33)
+    op = RadialOperator(build_grid(2048, r_min, 50.0), params33)
     n = op.grid.n
     rng = np.random.default_rng(5)
     for dt in (1e-3, 0.7, 1.0):
@@ -77,22 +77,21 @@ def test_solve_tridiag_matches_dense_reference(params33):
     # Newton's Jacobian solve: (K + diag(M * diag)) x = rhs with an
     # indefinite diag and the two right-hand-side columns of the bordered step
     rng = np.random.default_rng(3)
-    for grading in ("log", "uniform"):
-        op = RadialOperator(build_grid(257, 1e-3, 30.0, grading), params33)
-        diag = rng.uniform(-3.0, 3.0, op.grid.n) * op.k_diag / op.mass_diag
-        rhs = rng.standard_normal((op.grid.n, 2))
-        kept = rhs.copy()
-        dense = np.diag(op.k_diag + op.mass_diag * diag)
-        dense += np.diag(op.k_lower, 1) + np.diag(op.k_lower, -1)
-        assert np.min(np.diag(dense)) < 0.0 < np.max(np.diag(dense))
-        ref = np.linalg.solve(dense, rhs)
-        x = op.solve_tridiag(diag, rhs)
-        assert x.shape == (op.grid.n, 2)
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(rhs, kept)
+    op = RadialOperator(build_grid(257, 1e-3, 30.0), params33)
+    diag = rng.uniform(-3.0, 3.0, op.grid.n) * op.k_diag / op.mass_diag
+    rhs = rng.standard_normal((op.grid.n, 2))
+    kept = rhs.copy()
+    dense = np.diag(op.k_diag + op.mass_diag * diag)
+    dense += np.diag(op.k_lower, 1) + np.diag(op.k_lower, -1)
+    assert np.min(np.diag(dense)) < 0.0 < np.max(np.diag(dense))
+    ref = np.linalg.solve(dense, rhs)
+    x = op.solve_tridiag(diag, rhs)
+    assert x.shape == (op.grid.n, 2)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(rhs, kept)
     # singular: a tridiagonal matrix with zero diagonal and odd order; on
-    # the integer grid r = 1, ..., 17 the diagonal cancels exactly
-    op = RadialOperator(build_grid(17, 1.0, 17.0, "uniform"), params33)
+    # the log grid of 17 nodes from r = 1 to 17 the diagonal cancels exactly
+    op = RadialOperator(build_grid(17, 1.0, 17.0), params33)
     diag = -op.k_diag / op.mass_diag
     assert not np.any(op.k_diag + op.mass_diag * diag)
     with pytest.raises(LinAlgError):

@@ -6,6 +6,7 @@ from hardywaves import (
     DomainError,
     Field,
     ParameterError,
+    RadialGrid,
     ShapeError,
     build_grid,
     integrate_mu,
@@ -21,7 +22,6 @@ def test_grid_constructor_echo():
     assert grid.n == 10_000
     assert grid.nodes[0] == 1e-6
     assert grid.nodes[-1] == 50.0
-    assert grid.grading == "log"
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights > 0)
 
@@ -35,12 +35,21 @@ def test_grid_invalid_arguments(n, r_min, r_max):
         build_grid(n, r_min, r_max)
 
 
-def test_quadrature_indicator_uniform_grid_exact():
-    # f == 1 on a uniform grid covering (0, 1]: trapezoid is exact for the
-    # linear integrand f(r) r, up to the r_min truncation of int_0^1 r dr
-    grid = build_grid(4096, 1e-6, 1.0, grading="uniform")
-    q = grid.quadrature(np.ones(grid.n))
-    assert abs(q - 0.5 * (1.0 - 1e-12)) < 1e-14
+def test_grid_rejects_unequal_log_steps():
+    # the stiffness 1/h is the Dirichlet form only on equally spaced
+    # log-nodes; the log of a grid uniform in r is not one
+    r = np.linspace(1e-2, 10.0, 512)
+    t = np.full(r.size, r[1] - r[0])
+    with pytest.raises(ParameterError, match="equally spaced"):
+        RadialGrid(nodes=r, weights=t * r, log_nodes=np.log(r))
+
+
+def test_grid_tolerates_rounded_log_steps():
+    # linspace rounds the log-nodes, so build_grid's steps spread by a few
+    # ulps of max|x|; the spacing check lets them through up to large n
+    for n, r_min, r_max in [(20_000, 1e-6, 50.0), (20_000, 1e-12, 400.0), (4096, 0.5, 2.0)]:
+        grid = build_grid(n, r_min, r_max)
+        assert np.ptp(np.diff(grid.log_nodes)) > 0.0
 
 
 def test_quadrature_indicator_log_grid():

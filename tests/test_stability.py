@@ -131,6 +131,15 @@ def test_stability_rejects_bad_final_time(wave2k, T):
         stability_experiment(wave2k, 1e-2, T=T, dt=1e-3)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -1e-3, 0.0])
+def test_stability_rejects_bad_time_step(wave2k, dt):
+    # dt = 0 divided by zero, and nan failed to round, in the step count
+    from hardywaves import ParameterError
+
+    with pytest.raises(ParameterError, match="time step"):
+        stability_experiment(wave2k, 1e-2, T=1.0, dt=dt)
+
+
 @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
 def test_stability_experiment_matches_chained_propagate(wave2k, params33, kind):
     # the run on the wave's operator gives the bits of the same run made
