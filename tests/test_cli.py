@@ -482,7 +482,7 @@ def test_non_finite_step_error_writes_valid_json(tmp_path, monkeypatch):
     from hardywaves.operators import RadialOperator
 
     monkeypatch.setattr(RadialOperator, "solve_cayley",
-                        lambda self, potential, v, dt, rhs=None: np.full_like(v, np.nan))
+                        lambda self, potential, mv, dt: np.full_like(mv, np.nan))
     out = tmp_path / "nan"
     assert run_cli(["evolve", *SMALL_GRID, "--steps", "1", "--outdir", str(out)]) == 2
     payload = read_json(out / "error.json")
