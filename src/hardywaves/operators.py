@@ -18,9 +18,9 @@ smooth nodal data the first differences are exact (Sterbenz), which keeps
 the rounding floor of the strong residual far below the 1e-8 tolerances
 used downstream.
 
-A Crank-Nicolson stage is solved for its midpoint against M v, without
-K v: on white noise an explicit right-hand side M v - i dt/2 K v is off
-the exact stage by up to 1e-11 relative, the midpoint form by 5e-13.
+A Crank-Nicolson stage is solved for its midpoint against M v, so it never
+forms K v, whose rounding an explicit right-hand side M v - i dt/2 K v
+would carry into the stage.
 """
 
 from __future__ import annotations

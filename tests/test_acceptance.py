@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Expensive artifacts (default-grid standing waves)
-are shared through module-scoped fixtures.
+are shared through fixtures; criteria 4, 6 and 7 use `wave8k` from conftest.
 """
 
 import json
@@ -51,13 +51,6 @@ def default_grid():
 @pytest.fixture(scope="module")
 def p33():
     return Params(N=3, q=3.0, gamma=1.0)
-
-
-@pytest.fixture(scope="module")
-def wave(default_grid, p33):
-    # the float64 residual floor on the default grid sits near 8e-7, so the
-    # shared wave for criteria 4, 6 and 7 is solved just above it
-    return normalized_gradient_flow(p33, default_grid, tol=2e-6)
 
 
 def test_criterion_1_quadrature_and_transform(default_grid):
@@ -111,8 +104,8 @@ def test_criterion_3_linear_propagator(default_grid, p33):
     )
 
 
-def test_criterion_4_conservation(wave, p33):
-    state = initial_state(perturbed_field(wave, 1e-2, "radial-bump"), p33)
+def test_criterion_4_conservation(wave8k, p33):
+    state = initial_state(perturbed_field(wave8k, 1e-2, "radial-bump"), p33)
     max_charge = 0.0
     max_energy = 0.0
     for _ in range(20):
@@ -160,10 +153,10 @@ def test_criterion_5_ground_state(p33):
     )
 
 
-def test_criterion_6_origin_behavior(wave, default_grid):
+def test_criterion_6_origin_behavior(wave8k, default_grid):
     details = []
     ok = True
-    for N, sw in ((3, wave), (4, None)):
+    for N, sw in ((3, wave8k), (4, None)):
         if sw is None:
             params = Params(N=4, q=3.0, gamma=1.0)
             sw = normalized_gradient_flow(params, default_grid, tol=1e-6)
@@ -180,13 +173,13 @@ def test_criterion_6_origin_behavior(wave, default_grid):
     report("criterion 6 (origin behavior)", ok, "; ".join(details))
 
 
-def test_criterion_7_orbital_stability(wave, p33):
-    control = stability_experiment(wave, 0.0, T=20.0, dt=2e-3)
+def test_criterion_7_orbital_stability(wave8k):
+    control = stability_experiment(wave8k, 0.0, T=20.0, dt=2e-3)
     details = [f"delta=0: max distance = {control.max_distance:.3e} (tol 1e-6)"]
     ok = control.max_distance < 1e-6
     ratios = {}
     for delta in (1e-3, 1e-2):
-        run = stability_experiment(wave, delta, T=20.0, dt=2e-3)
+        run = stability_experiment(wave8k, delta, T=20.0, dt=2e-3)
         ratios[delta] = run.max_distance / delta
         ok = ok and run.max_distance < 10.0 * delta
         details.append(

@@ -42,12 +42,15 @@ def cayley_reference(op, potential, v, dt):
 ])
 def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params33):
     # solve_cayley returns the midpoint y of the stage, v+ = 2 y - v, to the
-    # rounding of one complex solve: at most 6e-16 in the M-norm on white
-    # noise, where an explicit right-hand side M v - i dt/2 K v is 3e-15 to
-    # 1.5e-14 off at dt = 2e-2.  Without a potential solve_cayley
-    # back-substitutes with cached factors of the fixed matrix; alternating
-    # dt checks that they and the cached bands follow dt.  The potential is
-    # real, as B must be real symmetric.
+    # rounding of one complex solve.  On white noise over 240 seeds it is at
+    # most 1.2e-15 off in the M-norm and 9.6e-13 of max|v+| at any node,
+    # where an explicit right-hand side M v - i dt/2 K v is up to 1.7e-14 and
+    # 1.5e-11 off (median 7e-16 and 2.1e-12).  The M-norm weights r^2 span
+    # 15 decades, so the max-norm bound is what holds the nodes near the
+    # origin.  Without a potential solve_cayley back-substitutes with cached
+    # factors of the fixed matrix; alternating dt checks that they and the
+    # cached bands follow dt.  The potential is real, as B must be real
+    # symmetric.
     op = RadialOperator(build_grid(2048, 1e-6, 50.0), params33)
     n = op.grid.n
     rng = np.random.default_rng(11)
@@ -63,6 +66,7 @@ def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params
         ref = cayley_reference(op, potential, v, dt)
         assert np.array_equal(mv, kept)
         assert np.sqrt(op.mass(x - ref)) <= 2e-15 * np.sqrt(op.mass(ref))
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # the id keeps the name of the log-grid case from when the grid kind was a
