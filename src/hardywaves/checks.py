@@ -158,7 +158,8 @@ def random_fields(
     seed: int,
     support: tuple[float, float] | None = None,
 ):
-    """Yield (index, sample_info, Field) for count >= 1 fields of the standard bump ensemble."""
+    """Yield (sample_info, Field) for count >= 1 fields of the standard bump ensemble;
+    ``sample_info["index"]`` numbers them from 0."""
     if count < 1:
         raise ParameterError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -182,7 +183,7 @@ def random_fields(
         for c, wdt, s, a in zip(centers, widths, signs, amps):
             values += s * a * np.exp(-(((x - c) / wdt) ** 2))
         info = {"index": k, "n_bumps": n_bumps, "centers": centers.tolist()}
-        yield k, info, Field(values=values, grid=grid)
+        yield info, Field(values=values, grid=grid)
 
 
 def check_hardy(
@@ -200,7 +201,7 @@ def check_hardy(
     min_i = np.inf
     worst_mismatch = 0.0
     violating = None
-    for _, info, v in random_fields(grid, sample_count, seed):
+    for info, v in random_fields(grid, sample_count, seed):
         u = to_u(v, N)
         hardy = hardy_functional_u(u, N, eps=grid.r_min)
         dirichlet = weighted_dirichlet(v, N)
@@ -242,7 +243,7 @@ def check_ckn(
     op = RadialOperator(grid, Params(N=params.N, q=params.q, gamma=params.gamma))
     worst = 0.0
     least = np.inf
-    for _, _, v in random_fields(grid, sample_count, seed):
+    for _, v in random_fields(grid, sample_count, seed):
         ratio = _ckn_ratio(op, v.values)
         worst = max(worst, ratio)
         least = min(least, ratio)
@@ -324,7 +325,7 @@ def check_ihs(
 
     least = np.inf
     violating = None
-    for _, info, v in random_fields(grid, sample_count, seed, support=support):
+    for info, v in random_fields(grid, sample_count, seed, support=support):
         h_norm = np.sqrt(
             weighted_dirichlet(v, N) + integrate_mu(np.abs(v.values) ** 2, grid, N)
         )

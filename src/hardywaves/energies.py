@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .operators import RadialOperator, cell_stiffness, dirichlet_form
+from .operators import RadialOperator, dirichlet_form
 from .radial import Field, Params, check_dimension, origin_intercept, unit_ball_volume
 
 __all__ = [
@@ -54,12 +54,13 @@ class EnergyReport:
 def weighted_dirichlet(v: Field, N: int) -> float:
     """Weighted Dirichlet energy: int |x|^{-(N-2)} |grad v|^2 dx.
 
-    Piecewise-linear (cell) form in log r, with s_i = 1/h, including the
-    zero-extension tail cell beyond r_max; exact for fields piecewise linear
-    in log r.
+    Piecewise-linear (cell) form in log r with the one coefficient 1/h of
+    the grid's log step, including the zero-extension tail cell beyond
+    r_max; exact for fields piecewise linear in log r.  Like the grid's
+    weights, the coefficient is derived from its log-nodes, not passed.
     """
     N = check_dimension(N)
-    return N * unit_ball_volume(N) * dirichlet_form(cell_stiffness(v.grid), v.values)
+    return N * unit_ball_volume(N) * dirichlet_form(1.0 / v.grid.log_step, v.values)
 
 
 def hardy_cells(x: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:

@@ -130,7 +130,7 @@ def _residual_norm(op: RadialOperator, v: np.ndarray, lam: float, nl_vec=None) -
         nl_vec = _nonlinear_term(op, v)
     # strong form M^{-1} K v + lam v - N(v), not M^{-1} g: it rounds differently,
     # and the flow's lambda, J and residual are pinned to its bits
-    res = op.laplacian_like(v) + lam * v - nl_vec
+    res = op.stiffness_apply(v) / op.mass_diag + lam * v - nl_vec
     return float(np.sqrt(op.sphere * np.sum(op.mass_diag * res**2)))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checks import random_fields
 from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
-from .radial import Field, RadialGrid, integrate_mu, log_grid, to_u, to_v, unit_ball_volume
+from .radial import Field, RadialGrid, integrate_mu, to_u, to_v, unit_ball_volume
 
 __all__ = [
     "reciprocal_grid",
@@ -31,7 +31,7 @@ __all__ = [
 def reciprocal_grid(grid: RadialGrid) -> RadialGrid:
     """Grid with nodes 1/r (ascending), exact in the log coordinate."""
     x = -grid.log_nodes[::-1]
-    return log_grid(x, np.exp(x))
+    return RadialGrid(nodes=np.exp(x), log_nodes=x)
 
 
 def kelvin_transform(w: Field, N: int) -> Field:
@@ -98,7 +98,7 @@ def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
     carry the critical r^{-(N-2)/2} factor."""
     worst_inv = 0.0
     worst_iso = 0.0
-    for _, _, bumps in random_fields(grid, samples, seed):
+    for _, bumps in random_fields(grid, samples, seed):
         w = to_u(bumps, N)
         psi = kelvin_transform(w, N)
         back = kelvin_transform(psi, N)

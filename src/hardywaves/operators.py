@@ -8,10 +8,10 @@ weights).  The boundary conditions are a reflecting ghost at the origin end
 (v'(0) = 0) and a zero ghost cell beyond r_max (v(r_max+) = 0), so the
 Dirichlet quadratic form reads
 
-    v^T K v = sum_cells s_i |v_{i+1} - v_i|^2 + s_n |v_n|^2 .
+    v^T K v = (1/h) (sum_cells |v_{i+1} - v_i|^2 + |v_n|^2) .
 
-Since r dr |v'|^2 = dx |dv/dx|^2, the per-cell coefficients s_i = 1/h, with
-h the log step, make the form exact for fields piecewise linear in log r.
+Since r dr |v'|^2 = dx |dv/dx|^2, the one coefficient 1/h, with h the log
+step, makes the form exact for fields piecewise linear in log r.
 
 Second differences are assembled as differences of first differences: for
 smooth nodal data the first differences are exact (Sterbenz), which keeps
@@ -26,32 +26,25 @@ would carry into the stage.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import ShapeError
 from .radial import Field, Params, RadialGrid, unit_ball_volume
 
-__all__ = ["RadialOperator", "cell_stiffness", "singular_weight"]
+__all__ = ["RadialOperator", "singular_weight"]
 
-# tridiagonal LAPACK routines, called directly: ptsv for the SPD solve, and
-# for the Cayley stage gtsv with a potential, gttrf/gttrs to factor the fixed
-# matrix once
-_DPTSV, = get_lapack_funcs(("ptsv",), dtype=np.float64)
+# tridiagonal LAPACK routines, called directly: ptsv for the SPD solve, gtsv
+# for Newton's indefinite solve and the Cayley stage with a potential, and
+# gttrf/gttrs to factor the fixed Cayley matrix once
+_DPTSV, _DGTSV = get_lapack_funcs(("ptsv", "gtsv"), dtype=np.float64)
 _ZGTSV, _ZGTTRF, _ZGTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np.complex128)
 
 
-def cell_stiffness(grid: RadialGrid) -> np.ndarray:
-    """Per-cell stiffness coefficients s_i = 1/h (length n: n-1 cells + ghost tail).
-
-    s_i multiplies |v_{i+1} - v_i|^2 in the Dirichlet form; the last entry
-    belongs to the zero ghost cell beyond r_max and multiplies |v_n|^2.
-    """
-    return np.full(grid.n, 1.0 / grid.log_step)
-
-
-def dirichlet_form(s: np.ndarray, v: np.ndarray) -> float:
-    """sum_i s_i |v_{i+1} - v_i|^2 + s_n |v_n|^2, without the sphere factor."""
-    return float(np.sum(s[:-1] * np.abs(np.diff(v)) ** 2) + s[-1] * np.abs(v[-1]) ** 2)
+def dirichlet_form(stiffness: float, v: np.ndarray) -> float:
+    """(1/h) (sum_i |v_{i+1} - v_i|^2 + |v_n|^2), without the sphere factor,
+    for ``stiffness`` = 1/h; the last term is the zero ghost cell beyond
+    r_max."""
+    return float(np.sum(stiffness * np.abs(np.diff(v)) ** 2) + stiffness * np.abs(v[-1]) ** 2)
 
 
 def singular_weight(grid: RadialGrid, params: Params) -> np.ndarray:
@@ -72,11 +65,10 @@ class RadialOperator:
         self.params = params
         self.sphere = params.N * unit_ball_volume(params.N)
         self.mass_diag = grid.weights
-        self.s = cell_stiffness(grid)
-        self.k_lower = -self.s[:-1]  # off-diagonal of K
-        self.k_diag = np.empty(grid.n)
-        self.k_diag[0] = self.s[0]
-        self.k_diag[1:] = self.s[:-1] + self.s[1:]
+        self.stiffness = 1.0 / grid.log_step
+        self.k_lower = np.full(grid.n - 1, -self.stiffness)  # off-diagonal of K
+        self.k_diag = np.full(grid.n, 2.0 * self.stiffness)
+        self.k_diag[0] = self.stiffness
         self.w_sing = singular_weight(grid, params)
         self._cayley = None  # (dt, Cayley bands, gttrf factors of M + i dt/2 K)
 
@@ -89,12 +81,12 @@ class RadialOperator:
         return self.sphere * complex(np.sum(self.mass_diag * a * np.conj(b)))
 
     def dirichlet(self, v: np.ndarray) -> float:
-        return self.sphere * dirichlet_form(self.s, v)
+        return self.sphere * dirichlet_form(self.stiffness, v)
 
     def dirichlet_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
         da, db = np.diff(a), np.diff(b)
         return self.sphere * complex(
-            np.sum(self.s[:-1] * da * np.conj(db)) + self.s[-1] * a[-1] * np.conj(b[-1])
+            np.sum(self.stiffness * da * np.conj(db)) + self.stiffness * a[-1] * np.conj(b[-1])
         )
 
     def h_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
@@ -116,16 +108,12 @@ class RadialOperator:
     def stiffness_apply(self, v: np.ndarray) -> np.ndarray:
         """K v, assembled from exact first differences."""
         dv = np.diff(v)
-        flux = self.s[:-1] * dv
+        flux = self.stiffness * dv
         out = np.empty_like(v)
         out[0] = -flux[0]
         out[1:-1] = flux[:-1] - flux[1:]
-        out[-1] = flux[-1] + self.s[-1] * v[-1]
+        out[-1] = flux[-1] + self.stiffness * v[-1]
         return out
-
-    def laplacian_like(self, v: np.ndarray) -> np.ndarray:
-        """-(1/r)(r v')' in discrete form: (M^{-1} K) v."""
-        return self.stiffness_apply(v) / self.mass_diag
 
     # -- banded solves ---------------------------------------------------------
 
@@ -139,13 +127,12 @@ class RadialOperator:
 
     def solve_tridiag(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + diag(M * diag)) x = rhs with general (possibly indefinite) diag."""
-        n = self.grid.n
-        dtype = np.result_type(diag, rhs)
-        ab = np.zeros((3, n), dtype=dtype)
-        ab[0, 1:] = self.k_lower
-        ab[1] = self.k_diag + self.mass_diag * diag
-        ab[2, :-1] = self.k_lower
-        return solve_banded((1, 1), ab, rhs)
+        # gtsv overwrites its inputs: only the fresh diagonal is passed as is
+        d = self.k_diag + self.mass_diag * diag
+        _, _, _, x, info = _DGTSV(self.k_lower, d, self.k_lower, rhs, 0, 1, 0, 0)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal solve failed (dgtsv info={info})")
+        return x
 
     def solve_cayley(self, potential: np.ndarray | None, mv: np.ndarray, dt: float) -> np.ndarray:
         """One Crank-Nicolson stage in midpoint form: the midpoint y of

@@ -97,10 +97,11 @@ class Params:
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Radii r = e^x on log-nodes x equally spaced by h, with quadrature
-    weights for r dr.
+    weights for r dr derived from them.
 
-    ``weights`` realise the trapezoid rule in log r, applied to the
-    transformed integrand f(e^x) e^{2x}, so that ``sum(weights * f(nodes))``
+    ``weights`` are not passed: they are the half-end trapezoid rule in
+    log r, t r^2 with t = h halved at both ends, applied to the transformed
+    integrand f(e^x) e^{2x}, so that ``sum(weights * f(nodes))``
     approximates ``int f(r) r dr`` at second order, with positive weights.
     ``log_nodes`` is kept alongside ``nodes`` because several operations
     (stencils, reciprocal grids) are exact in the log coordinate; the
@@ -109,25 +110,25 @@ class RadialGrid:
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     log_nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         log_nodes = np.asarray(self.log_nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or not nodes.shape == weights.shape == log_nodes.shape:
-            raise ShapeError("nodes, weights and log_nodes must be 1-d arrays of one length >= 2")
+        if nodes.ndim != 1 or nodes.size < 2 or nodes.shape != log_nodes.shape:
+            raise ShapeError("nodes and log_nodes must be 1-d arrays of one length >= 2")
         if not np.all(nodes > 0.0) or not np.all(np.diff(nodes) > 0.0):
             raise ParameterError("grid nodes must be positive and strictly increasing")
-        if not np.all(weights > 0.0):
-            raise ParameterError("quadrature weights must be positive")
         # step spread in units of eps max|x|; linspace rounding keeps build_grid's below 2
         steps = np.diff(log_nodes)
         spread = np.ptp(steps) / (np.finfo(float).eps * np.max(np.abs(log_nodes)))
         if not (steps.min() > 0.0 and spread <= 16.0):
             raise ParameterError("log-nodes must be increasing and equally spaced")
-        for name, arr in (("nodes", nodes), ("weights", weights), ("log_nodes", log_nodes)):
+        t = np.full(nodes.size, log_nodes[1] - log_nodes[0])
+        t[0] *= 0.5
+        t[-1] *= 0.5
+        for name, arr in (("nodes", nodes), ("log_nodes", log_nodes), ("weights", t * nodes**2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -169,16 +170,7 @@ def build_grid(n: int, r_min: float, r_max: float) -> RadialGrid:
     r = np.exp(x)
     # exact endpoints; exp/log round trips are only ulp-accurate
     r[0], r[-1] = r_min, r_max
-    return log_grid(x, r)
-
-
-def log_grid(x: np.ndarray, r: np.ndarray) -> RadialGrid:
-    """Grid on the equally spaced log-nodes x with nodes r = e^x, and the
-    half-end trapezoid weights t r^2 of int f r dr = int f(e^x) e^{2x} dx."""
-    t = np.full(x.shape[0], x[1] - x[0])
-    t[0] *= 0.5
-    t[-1] *= 0.5
-    return RadialGrid(nodes=r, weights=t * r**2, log_nodes=x)
+    return RadialGrid(nodes=r, log_nodes=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +247,4 @@ def integrate_mu(samples, grid: RadialGrid, N: int) -> float:
     For f = |v|^2 this is the mu-mass of v, equal to the plain L^2 mass of
     u = to_u(v).
     """
-    values = samples.values if isinstance(samples, Field) else np.asarray(samples)
-    if values.shape != grid.nodes.shape:
-        raise ShapeError("samples are not aligned with the grid")
-    return N * unit_ball_volume(N) * grid.quadrature(values)
+    return N * unit_ball_volume(N) * grid.quadrature(samples)

@@ -209,7 +209,7 @@ def test_reports_reproducible(grid8k, params33):
 def test_random_fields_supported_away_from_boundaries(grid8k):
     # the generator's width cap keeps boundary values small enough that the
     # telescoped boundary flux stays orders below the 1e-6 identity budget
-    for _, _, field in random_fields(grid8k, 10, seed=1):
+    for _, field in random_fields(grid8k, 10, seed=1):
         assert abs(field.values[0]) < 1e-6
         assert abs(field.values[-1]) < 1e-6
 

@@ -177,7 +177,7 @@ def test_nonlinear_term_is_the_solvers_F(grid8k, N, q):
 
     params = Params(N=N, q=q)
     op = RadialOperator(grid8k, params)
-    for _, _, v in random_fields(grid8k, 50, seed=0):
+    for _, v in random_fields(grid8k, 50, seed=0):
         assert nonlinear_term(v, params) == op.nonlinear(v.values)
 
 

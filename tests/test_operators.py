@@ -13,7 +13,7 @@ def cayley_reference(op, potential, v, dt):
     ld = np.longdouble
     half = np.clongdouble(0.5j) * ld(dt)
     m, p, x = op.mass_diag.astype(ld), potential.astype(ld), v.astype(np.clongdouble)
-    flux = op.s.astype(ld) * np.diff(x, append=0.0)  # zero ghost beyond r_max
+    flux = ld(op.stiffness) * np.diff(x, append=0.0)  # zero ghost beyond r_max
     kv = -np.diff(flux, prepend=0.0)  # reflecting ghost at the origin end
     rhs = m * x - half * (kv - m * p * x)
     off = half * op.k_lower.astype(ld)
@@ -119,3 +119,26 @@ def test_solve_tridiag_matches_dense_reference(params33):
     assert not np.any(op.k_diag + op.mass_diag * diag)
     with pytest.raises(LinAlgError):
         op.solve_tridiag(diag, np.ones((op.grid.n, 2)))
+
+
+def test_stiffness_is_one_coefficient(params33):
+    # K carries the one coefficient 1/h: its bands are exact multiples of
+    # it, and K v, the Dirichlet form and its inner product all agree with
+    # the dense matrix assembled from those bands
+    op = RadialOperator(build_grid(257, 1e-3, 30.0), params33)
+    n = op.grid.n
+    assert op.stiffness == 1.0 / op.grid.log_step
+    assert op.k_diag[0] == op.stiffness
+    assert np.all(op.k_diag[1:] == 2.0 * op.stiffness)
+    assert np.all(op.k_lower == -op.stiffness)
+    dense = np.diag(op.k_diag) + np.diag(op.k_lower, 1) + np.diag(op.k_lower, -1)
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(n)
+    kv = dense @ v
+    assert np.max(np.abs(op.stiffness_apply(v) - kv)) <= 1e-13 * np.max(np.abs(kv))
+    assert abs(op.dirichlet(v) - op.sphere * (v @ kv)) <= 1e-13 * op.dirichlet(v)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = op.sphere * np.vdot(b, dense @ a)
+    scale = np.sqrt(op.dirichlet(a) * op.dirichlet(b))
+    assert abs(op.dirichlet_inner(a, b) - ref) <= 1e-13 * scale

@@ -11,6 +11,7 @@ from hardywaves import (
     build_grid,
     integrate_mu,
     log_time_coordinate,
+    reciprocal_grid,
     to_u,
     to_v,
     unit_ball_volume,
@@ -39,9 +40,8 @@ def test_grid_rejects_unequal_log_steps():
     # the stiffness 1/h is the Dirichlet form only on equally spaced
     # log-nodes; the log of a grid uniform in r is not one
     r = np.linspace(1e-2, 10.0, 512)
-    t = np.full(r.size, r[1] - r[0])
     with pytest.raises(ParameterError, match="equally spaced"):
-        RadialGrid(nodes=r, weights=t * r, log_nodes=np.log(r))
+        RadialGrid(nodes=r, log_nodes=np.log(r))
 
 
 def test_grid_tolerates_rounded_log_steps():
@@ -50,6 +50,21 @@ def test_grid_tolerates_rounded_log_steps():
     for n, r_min, r_max in [(20_000, 1e-6, 50.0), (20_000, 1e-12, 400.0), (4096, 0.5, 2.0)]:
         grid = build_grid(n, r_min, r_max)
         assert np.ptp(np.diff(grid.log_nodes)) > 0.0
+
+
+def test_grid_derives_its_weights():
+    # the weights are the half-end trapezoid t r^2 of the log-nodes, which
+    # the grid computes itself: they cannot be passed, so none disagree
+    grid = build_grid(1000, 1e-6, 50.0)
+    for g in (grid, reciprocal_grid(grid)):
+        t = np.full(g.n, g.log_nodes[1] - g.log_nodes[0])
+        t[0] *= 0.5
+        t[-1] *= 0.5
+        assert np.array_equal(g.weights, t * g.nodes**2)
+        again = RadialGrid(nodes=g.nodes, log_nodes=g.log_nodes)
+        assert np.array_equal(again.weights, g.weights)
+    with pytest.raises(TypeError):
+        RadialGrid(nodes=grid.nodes, log_nodes=grid.log_nodes, weights=grid.weights)
 
 
 def test_quadrature_indicator_log_grid():
