@@ -6,7 +6,7 @@ step
     (M + dt K) v~ = M (v + dt (N(v) - lambda(v) v)),    then renormalise,
 
 with the multiplier term included so that fixed points solve the discrete
-stationary equation exactly.  dt starts at 0.1, grows by 1.1 per accepted
+stationary equation exactly.  dt starts at 20, grows by 1.5 per accepted
 step up to 500 and halves (down to 1e-6) on any energy increase, so the
 accepted flow iterates are J-monotone.  Phase two polishes with a bordered
 Newton iteration on the stationary system plus the mass constraint
@@ -15,7 +15,8 @@ at most 120 steps per polish.
 The gradient flow alone crawls once the landscape flattens (for shallow
 wells the multiplier is of order 1e-3 and the soft-mode curvature far
 smaller), while Newton alone needs a warm start; the combination converges
-in tens of iterations.
+in about ten flow iterations (7 to 13 over the survey problems at
+r_min = 1e-4, tol 1e-6).
 
 The achievable residual is limited by float64 quantisation of the nodal
 values near the origin, roughly eps_machine * |v| / (h^2 r_min) in the
@@ -47,8 +48,13 @@ __all__ = [
 
 _MASS_RTOL = 1e-10
 _J_MONO_TOL = 1e-12
-_FLOW_DT0 = 0.1
+# the step schedule, chosen by a measured (dt0, growth) sweep; a far larger
+# first step (dt0 = 100, growth 2) lands (N, q, gamma) = (5, 2.4, 2) on a
+# sign-changing state
+_FLOW_DT0 = 20.0
+_FLOW_DT_GROWTH = 1.5
 _FLOW_DT_MAX = 500.0
+_FLOW_DT_MIN = 1e-6
 _NEWTON_MAX_STEPS = 120
 
 
@@ -256,9 +262,9 @@ def normalized_gradient_flow(
                 j_history.append(j_val)
             nl_vec = _nonlinear_term(op, v)
             rn = _residual_norm(op, v, lam, nl_vec)
-            dt = min(dt * 1.1, _FLOW_DT_MAX)
+            dt = min(dt * _FLOW_DT_GROWTH, _FLOW_DT_MAX)
         else:
-            dt = max(dt / 2.0, 1e-6)
+            dt = max(dt / 2.0, _FLOW_DT_MIN)
 
     if rn >= tol:
         diagnostics = {"residual": rn, "iterations": iterations, "J": j_val, "lambda": lam,

@@ -238,8 +238,8 @@ def test_broken_wave_invariant_is_a_numerical_failure(wave1k, broken):
 
 
 def test_flow_pins_and_evaluates_each_iterate_once(grid1k, params33, monkeypatch):
-    # the values are those of the flow that evaluated every iterate up to
-    # three times; evaluating once must not move a single bit
+    # the values pin the flow's exact path; one nonlinear evaluation per
+    # iterate, plus a handful outside the loop
     calls = []
     nonlinear = RadialOperator.nonlinear
 
@@ -249,24 +249,44 @@ def test_flow_pins_and_evaluates_each_iterate_once(grid1k, params33, monkeypatch
 
     monkeypatch.setattr(RadialOperator, "nonlinear", counted)
     sw = normalized_gradient_flow(params33, grid1k, tol=1e-8)
-    assert sw.lam == 0.001803792564736484
-    assert sw.energies.J == 0.500141526849327
-    assert sw.residual == 3.633139024218204e-10
-    assert sw.iterations == 59
-    assert len(sw.j_history) == 61
-    assert len(calls) <= sw.iterations + 50
+    assert sw.lam == 0.0018037925646233492
+    assert sw.energies.J == 0.5001415268493269
+    assert sw.residual == 4.374160328537141e-10
+    assert sw.iterations == 7
+    assert len(sw.j_history) == 9
+    assert len(calls) <= sw.iterations + 5
 
 
 def test_polish_stop_cause_in_convergence_error(grid1k, params33, monkeypatch):
     # a singular Jacobian ends every polish; the flow alone runs out of
-    # iterations, and the error says why the last polish stopped
+    # iterations, and the error says why the last polish stopped.  The first
+    # polish runs after 7 flow steps; the flow alone would converge in 25
     def singular(self, diag, rhs):
         raise LinAlgError("singular Jacobian")
 
     monkeypatch.setattr(RadialOperator, "solve_tridiag", singular)
     with pytest.raises(ConvergenceError) as err:
-        normalized_gradient_flow(params33, grid1k, tol=1e-8, max_iter=80)
+        normalized_gradient_flow(params33, grid1k, tol=1e-8, max_iter=15)
     assert err.value.diagnostics["polish_stop"] == "linalg"
+
+
+@pytest.fixture(scope="module")
+def survey_grid():
+    return build_grid(8192, 1e-4, 50.0)
+
+
+SURVEY_STATES = [(N, q, gamma) for N, qs in ((3, (2.5, 2.8, 3.0)), (4, (2.5, 2.8)), (5, (2.4, 2.6)))
+                 for q in qs for gamma in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("N, q, gamma", SURVEY_STATES)
+def test_flow_reaches_tolerance_in_few_steps(survey_grid, N, q, gamma):
+    # the step schedule reaches the Newton switch in a few steps; the budget
+    # is about twice the most any of these states needs (13)
+    sw = normalized_gradient_flow(Params(N=N, q=q, gamma=gamma), survey_grid, tol=1e-6,
+                                  max_iter=25)
+    assert sw.residual < 1e-6
+    assert np.all(np.diff(np.asarray(sw.j_history)) <= 1e-12)
 
 
 def test_polish_stop_absent_when_polish_never_ran(grid1k, params33):
