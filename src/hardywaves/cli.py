@@ -5,7 +5,9 @@ kelvin-verify.  A run is configured by a JSON document (--config) plus flag
 overrides; the resolved configuration is hashed (sha256) and embedded,
 together with the package version, in every output file.  Scalars go to
 JSON, array data to CSV, all floats with 17 significant digits, so repeated
-runs with identical configurations are byte-identical.
+runs with identical configurations are byte-identical.  The CSV writer
+computes those 17 digits itself, exactly, and hands any value it cannot
+settle to Python's formatter.
 
 Exit codes: 0 success, 1 configuration or usage error (a package error that
 is a ValueError counts as one), 2 numerical failure (an error JSON with
@@ -15,6 +17,7 @@ diagnostics is written in the output directory).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .checks import WeightSpec, check_ckn, check_hardy, check_ihs, check_weight_condition
+from .csvrows import BLOCK_ROWS, csv_rows
 from .errors import HardyWavesError, ParameterError
 from .evolve import _checkpoints, initial_state
 from .groundstate import normalized_gradient_flow, origin_behavior, origin_fit_window
@@ -86,19 +90,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(dumps_json(payload), encoding="utf-8")
 
 
-_CSV_BLOCK = 1024  # rows formatted by one template
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], meta: dict) -> None:
-    # rows end in \r\n as csv.writer's do; "%.17g" % x spells _fmt(x)
+    # rows end in \r\n as csv.writer's do; every float is spelled "%.17g" % x, i.e. _fmt(x)
     table = np.column_stack(columns).astype(float, copy=False)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    with path.open("wb") as fh:
+        fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n".encode())
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(table), BLOCK_ROWS):
+            fh.write(csv_rows(table[start:start + BLOCK_ROWS]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +403,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser main uses; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         handler, defaults = _COMMANDS[args.command]
         cfg = _resolve(args, defaults)
         if "which" in args:

@@ -1,0 +1,75 @@
+"""Check that two source trees write byte-identical CLI output.
+
+    python3 tests/compare_outputs.py OLD_SRC NEW_SRC
+
+Runs, under each tree's ``src`` directory, every task of the perfbench
+workloads (the 21 survey ground states, its checks and Kelvin run, the
+dispersion evolves and the orbital stability run for each perturbation kind)
+plus ``check weight``, then compares every file the two trees wrote, byte for
+byte.  Exits 0 when all are equal.  A perf change that claims identical
+artifacts runs it against a checkout of its parent commit.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+RUN = """
+import json, sys
+from hardywaves.cli import main
+for name, argv in json.loads(sys.argv[1]):
+    if main([*argv, "--outdir", sys.argv[2] + "/" + name]) != 0:
+        sys.exit(f"{name} failed")
+"""
+
+
+def _tasks() -> list[tuple[str, list[str]]]:
+    rng = np.random.default_rng(0)
+    tasks = workloads.survey_round(rng) + workloads.dispersion_round(rng)
+    for kind in workloads.KINDS:
+        stability = workloads.orbital_round(rng)[0]
+        argv = list(stability.argv)
+        argv[argv.index("--kind") + 1] = kind
+        tasks.append(workloads.Task("stability", tuple(argv), stability.check))
+    named = [(f"{k:02d}-{task.kind}", list(task.argv)) for k, task in enumerate(tasks)]
+    return named + [("check-weight", ["check", "weight"])]
+
+
+def _run(src: Path, tasks, outroot: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", RUN, json.dumps(tasks), str(outroot)],
+                   env=env, check=True)
+
+
+def main(argv: list[str]) -> int:
+    old, new = (Path(a).resolve() for a in argv)
+    tasks = _tasks()
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = Path(tmp, "old"), Path(tmp, "new")
+        for src, root in zip((old, new), roots):
+            _run(src, tasks, root)
+        files = [sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+                 for root in roots]
+        if files[0] != files[1]:
+            print("the trees wrote different files:", set(files[0]) ^ set(files[1]))
+            return 1
+        differ = [f for f in files[0] if (roots[0] / f).read_bytes() != (roots[1] / f).read_bytes()]
+    for f in differ:
+        print("differs:", f)
+    print(f"{len(tasks)} tasks, {len(files[0])} files, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

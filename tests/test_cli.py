@@ -322,6 +322,122 @@ def test_write_csv_matches_csv_writer_reference(rows, tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+# exact ties, carries into an 18th digit, the %g switch points, the ends of the
+# kernel's range and the values it leaves to Python's formatter
+EDGE_VALUES = np.concatenate([
+    [2.0**-25, 3 * 2.0**-25, 9.9999999999999999e22, 99999999999999999.0, 1e-14, 1e98],
+    _neighbours([1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280]),
+    [5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf],
+])
+
+
+def _write_both(tmp_path, columns):
+    meta = {"config_sha256": "0" * 64, "version": "test"}
+    header = [f"c{k}" for k in range(len(columns))]
+    cli._write_csv(tmp_path / "fast.csv", header, columns, meta)
+    _csv_reference(tmp_path / "ref.csv", header, columns, meta)
+    return (tmp_path / "fast.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [2047, 2048, 2049])
+def test_write_csv_edge_values_match_reference(rows, tmp_path):
+    # random bit patterns cover every exponent, nan payloads and subnormals
+    rng = np.random.default_rng(rows)
+    table = rng.integers(0, 2**64, (rows, 3), dtype=np.uint64).view(np.float64)
+    edges = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
+    table.ravel()[rng.choice(table.size, len(edges), replace=False)] = edges
+    fast, ref = _write_both(tmp_path, list(table.T))
+    assert fast == ref
+
+
+def test_write_csv_edge_spellings(tmp_path):
+    spelled = {
+        2.0**-25: b"2.9802322387695312e-08",  # exact ties, rounded half-even
+        3 * 2.0**-25: b"8.9406967163085938e-08",
+        9.9999999999999999e22: b"9.9999999999999992e+22",
+        99999999999999999.0: b"1e+17",
+        1e-14: b"1e-14",  # these two lie just below 10**k: 17 nines round up, a carry
+        1e98: b"1e+98",
+        1e-5: b"1.0000000000000001e-05",
+        1e-4: b"0.0001",
+        1e16: b"10000000000000000",
+        -1e17: b"-1e+17",
+        1e-280: b"9.9999999999999996e-281",
+        1e280: b"1e+280",
+    }
+    fast, ref = _write_both(tmp_path, [np.array(list(spelled))])
+    assert fast == ref
+    assert fast.split(b"\r\n")[1:-1] == list(spelled.values())
+
+
+def test_write_csv_fallback_row_leaves_its_block_alone(tmp_path):
+    # one row of a full block falls back to Python's formatter (an exact tie);
+    # every other row keeps the bytes it has without it
+    rng = np.random.default_rng(5)
+    columns = [rng.standard_normal(2048) * 10.0 ** rng.integers(-20, 20, 2048) for _ in range(3)]
+    before, _ = _write_both(tmp_path, columns)
+    columns[1][1000] = 2.0**-25
+    after, ref = _write_both(tmp_path, columns)
+    assert after == ref
+    lines_before, lines_after = before.split(b"\r\n"), after.split(b"\r\n")
+    changed = [k for k, (a, b) in enumerate(zip(lines_before, lines_after)) if a != b]
+    assert changed == [1001]  # the header is line 0 after the comment line
+    assert b",2.9802322387695312e-08," in lines_after[1001]
+
+
+def _spy_on_csv(monkeypatch):
+    calls = []
+    write = cli._write_csv
+
+    def spy(path, header, columns, meta):
+        calls.append((path, header, [np.array(c, dtype=float) for c in columns], meta))
+        write(path, header, columns, meta)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground-state", "--n", "2100", "--r-min", "1e-4", "--r-max", "30", "--tol", "1e-8"],
+    ["evolve", "--linear", *SMALL_GRID, "--steps", "40"],
+], ids=["ground-state", "evolve-linear"])
+def test_cli_csv_equals_reference_writer(argv, tmp_path, monkeypatch):
+    calls = _spy_on_csv(monkeypatch)
+    assert run_cli([*argv, "--outdir", str(tmp_path / "out")]) == 0
+    [(path, header, columns, meta)] = calls
+    _csv_reference(tmp_path / "ref.csv", header, columns, meta)
+    written = path.read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    if argv[0] == "evolve":  # t = 0 and both drifts are exact zeros
+        assert written.split(b"\r\n")[1].startswith(b"0,") and written.count(b",0,0\r\n") == 1
+
+
+def test_main_reuses_one_parser_across_commands(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    weight = ["check", "weight", "--outdir"]
+    assert run_cli([*weight, str(tmp_path / "a")]) == 0
+    assert run_cli([*weight, str(tmp_path / "b"), "--omega-zero", "0.1"]) == 0
+    assert run_cli(["kelvin-verify", "--n", "256", "--samples", "2",
+                    "--outdir", str(tmp_path / "kv")]) == 0
+    assert run_cli([*weight, str(tmp_path / "c")]) == 0
+    # no flag of an earlier call carries over into a later one
+    first, second, third = (
+        (tmp_path / d / "check_weight.json").read_bytes() for d in "abc")
+    assert first == third != second
+    assert read_json(tmp_path / "kv" / "kelvin_verify.json")["passed"] is True
+    # a usage error after successful calls is still exit 1, and the parser still works
+    assert run_cli(["evolve", "--no-such-flag"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli([*weight, str(tmp_path / "d")]) == 0
+    assert (tmp_path / "d" / "check_weight.json").read_bytes() == first
+
+
 def test_write_csv_spells_every_special_value(tmp_path):
     values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300])
     meta = {"config_sha256": "0" * 64, "version": "test"}
