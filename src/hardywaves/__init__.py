@@ -14,10 +14,7 @@ from .checks import (
 )
 from .energies import (
     EnergyReport,
-    energy_J,
     hardy_functional_u,
-    lagrange_multiplier,
-    nonlinear_term,
     surface_term,
     surface_term_limit,
     weighted_dirichlet,
@@ -33,14 +30,7 @@ from .errors import (
     StepError,
 )
 from .evolve import EvolutionState, initial_state, invariants, propagate
-from .groundstate import (
-    StandingWave,
-    elliptic_residual,
-    fit_origin,
-    normalized_gradient_flow,
-    oracle_minimize,
-    origin_behavior,
-)
+from .groundstate import StandingWave, fit_origin, normalized_gradient_flow
 from .kelvin import (
     WNormReport,
     kelvin_transform,
@@ -55,7 +45,6 @@ from .radial import (
     RadialGrid,
     build_grid,
     integrate_mu,
-    log_time_coordinate,
     to_u,
     to_v,
     unit_ball_volume,

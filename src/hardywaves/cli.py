@@ -32,7 +32,7 @@ from .checks import WeightSpec, check_ckn, check_hardy, check_ihs, check_weight_
 from .csvrows import BLOCK_ROWS, csv_rows
 from .errors import HardyWavesError, ParameterError
 from .evolve import _checkpoints, initial_state
-from .groundstate import normalized_gradient_flow, origin_behavior, origin_fit_window
+from .groundstate import fit_origin, normalized_gradient_flow, origin_fit_window
 from .kelvin import kelvin_verify
 from .radial import Field, Params, build_grid, check_dimension, to_u
 from .stability import PERTURBATION_KINDS, check_run, stability_experiment
@@ -182,8 +182,8 @@ def _cmd_ground_state(cfg: dict, outdir: Path, meta: dict) -> int:
     grid = _grid_from(cfg)
     origin_fit_window(grid)  # checked before the solve, so bad input writes no run files
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"], max_iter=cfg["max_iter"])
-    exponent, v0 = origin_behavior(sw)
     u = to_u(sw.v, params.N)
+    exponent = fit_origin(u, params.N)[0]
     _write_csv(
         outdir / "ground_state_profile.csv",
         ["r", "v", "u"],
@@ -200,7 +200,7 @@ def _cmd_ground_state(cfg: dict, outdir: Path, meta: dict) -> int:
         "nonlinear": sw.energies.nonlinear,
         "residual": sw.residual,
         "iterations": sw.iterations,
-        "v0": v0,
+        "v0": sw.v0,
         "origin_exponent": exponent,
         "Lambda_origin": sw.Lambda_origin,
         **meta,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 from .operators import RadialOperator, dirichlet_form
-from .radial import Field, Params, check_dimension, origin_intercept, unit_ball_volume
+from .radial import Field, check_dimension, origin_intercept, unit_ball_volume
 
 __all__ = [
     "EnergyReport",
@@ -29,9 +29,6 @@ __all__ = [
     "hardy_functional_u",
     "surface_term",
     "surface_term_limit",
-    "nonlinear_term",
-    "energy_J",
-    "lagrange_multiplier",
 ]
 
 
@@ -123,21 +120,9 @@ def surface_term_limit(u: Field, N: int) -> float:
     return origin_intercept(np.array([surface_term(u, N, e) for e in grid.nodes[:3]]), grid, N)
 
 
-def nonlinear_term(v: Field, params: Params) -> float:
-    """q-homogeneous term F: (1/q) int |x|^{-q(N-2)/2} g |v|^q dx.
-
-    Equals (1/q) int g |u|^q dx for u = to_u(v); homogeneous of degree q.
-    """
-    return RadialOperator(v.grid, params).nonlinear(v.values)
-
-
-def energy_J(v: Field, params: Params) -> EnergyReport:
-    """Full energy report: E = dirichlet/2 - F and J = E + mass/2."""
-    return _energy_report(RadialOperator(v.grid, params), v.values)
-
-
 def _energy_report(op: RadialOperator, v: np.ndarray) -> EnergyReport:
-    """``energy_J`` of the nodal values v on an assembled operator."""
+    """Energy report of the nodal values v on an assembled operator:
+    E = dirichlet/2 - F and J = E + mass/2."""
     dirichlet = op.dirichlet(v)
     mass = op.mass(v)
     nonlinear = op.nonlinear(v)
@@ -150,14 +135,3 @@ def _energy_report(op: RadialOperator, v: np.ndarray) -> EnergyReport:
         J=energy + 0.5 * mass,
         h_norm_sq=dirichlet + mass,
     )
-
-
-def lagrange_multiplier(v: Field, params: Params) -> float:
-    """Multiplier of the stationary equation, from the integrated identity:
-
-        lambda = (q F(v) - dirichlet_mu(v)) / mass_mu(v).
-    """
-    report = energy_J(v, params)
-    if report.mass_mu <= 0.0:
-        raise DegenerateInputError("lagrange multiplier undefined for zero-mass field")
-    return (params.q * report.nonlinear - report.dirichlet_mu) / report.mass_mu

@@ -34,17 +34,10 @@ from scipy.linalg import LinAlgError
 from .energies import EnergyReport, _energy_report
 from .errors import ConvergenceError, DomainError, ParameterError
 from .operators import RadialOperator
-from .radial import (Field, Params, RadialGrid, check_origin_nodes, origin_intercept, to_u, to_v,
+from .radial import (Field, Params, RadialGrid, check_origin_nodes, origin_intercept, to_v,
                      unit_ball_volume)
 
-__all__ = [
-    "StandingWave",
-    "normalized_gradient_flow",
-    "elliptic_residual",
-    "fit_origin",
-    "origin_behavior",
-    "oracle_minimize",
-]
+__all__ = ["StandingWave", "normalized_gradient_flow", "fit_origin"]
 
 _MASS_RTOL = 1e-10
 _J_MONO_TOL = 1e-12
@@ -76,7 +69,6 @@ class StandingWave:
     op: RadialOperator = field(repr=False)
     iterations: int = 0
     j_history: tuple = field(default=(), repr=False)
-    converged: bool = True
 
     @property
     def params(self) -> Params:
@@ -107,19 +99,8 @@ class StandingWave:
                 f"mass constraint violated: {self.energies.mass_mu} != {self.gamma}",
                 diagnostics,
             )
-        if self.converged and not self.v0 > 0.0:
+        if not self.v0 > 0.0:
             raise ConvergenceError("extrapolated origin value must be positive", diagnostics)
-
-
-def elliptic_residual(v: Field, lam: float, params: Params) -> float:
-    """Weighted L^2 norm of the strong residual of the stationary equation:
-
-        -(1/r)(r v')' + lambda v - r^{-(q-2)(N-2)/2} g |v|^{q-2} v,
-
-    measured in the r dr norm with the sphere factor.
-    """
-    op = RadialOperator(v.grid, params)
-    return _residual_norm(op, np.real(v.values), lam)
 
 
 def _nonlinear_term(op: RadialOperator, v: np.ndarray) -> np.ndarray:
@@ -207,10 +188,13 @@ def normalized_gradient_flow(
     A negative-valued init is replaced by its modulus (the flow preserves
     positivity, so minimisers are reached through nonnegative iterates).
     Raises ConvergenceError with last-iterate diagnostics if the residual
-    tolerance tol (finite, > 0) is not reached within max_iter flow iterations.
+    tolerance tol (finite, > 0) is not reached within max_iter (>= 1) flow
+    iterations.
     """
     if not 0.0 < tol < np.inf:
         raise ParameterError(f"residual tolerance must be finite and positive, got {tol}")
+    if not max_iter >= 1:
+        raise ParameterError(f"iteration budget max_iter must be at least 1, got {max_iter}")
     if params.q > 2.0 + 4.0 / params.N + 1e-12:
         raise ParameterError(
             f"ground state solve requires q <= 2 + 4/N = {2 + 4.0 / params.N:.6g}, got q={params.q}"
@@ -284,24 +268,17 @@ def normalized_gradient_flow(
     rn = _residual_norm(op, v, lam)
     if j_final <= j_history[-1] + _J_MONO_TOL:  # fails only short of a true minimum
         j_history.append(j_final)
-    return _package(op, v, lam, rn, iterations, tuple(j_history))
-
-
-def _package(op, v, lam, rn, iterations, j_history, converged=True):
-    grid, params = op.grid, op.params
     v0 = origin_intercept(v[:3], grid, params.N)
-    lam_origin = 0.5 * params.N * (params.N - 2) * unit_ball_volume(params.N) * v0**2
     return StandingWave(
         v=Field(values=v, grid=grid),
         lam=lam,
         energies=_energy_report(op, v),
         v0=v0,
-        Lambda_origin=lam_origin,
+        Lambda_origin=0.5 * params.N * (params.N - 2) * unit_ball_volume(params.N) * v0**2,
         residual=rn,
         op=op,
         iterations=iterations,
-        j_history=j_history,
-        converged=converged,
+        j_history=tuple(j_history),
     )
 
 
@@ -330,76 +307,3 @@ def fit_origin(u: Field, N: int):
     slope = np.polyfit(np.log(grid.nodes[mask]), np.log(uu), 1)[0]
     v0 = origin_intercept(np.real(to_v(u, N).values[:3]), grid, N)
     return float(slope), float(v0)
-
-
-def origin_behavior(sw: StandingWave):
-    """Origin diagnostics of a converged wave: (exponent of u, v0), with the
-    wave's own v0, from which its Lambda_origin is computed."""
-    exponent, _ = fit_origin(to_u(sw.v, sw.params.N), sw.params.N)
-    return exponent, sw.v0
-
-
-def oracle_minimize(
-    params: Params,
-    grid: RadialGrid,
-    restarts: int = 8,
-    budget: int = 4000,
-    seed: int = 0,
-) -> StandingWave:
-    """Independent check on the flow: best-of-restarts projected gradient
-    descent with Armijo line search, from random positive bump fields.
-
-    Preconditioned by the energy-space metric (K + M); deterministic for a
-    fixed seed.  Restricted to small grids; ties between restarts break by
-    lowest J, then lowest residual.  Returns the best candidate whether or
-    not it meets any residual tolerance (``converged`` is left False).
-    """
-    if grid.n > 512:
-        raise ParameterError("oracle_minimize is restricted to grids with n <= 512")
-    op = RadialOperator(grid, params)
-    gamma = params.gamma
-    rng = np.random.default_rng(seed)
-    x = grid.log_nodes
-    lo, hi = x[0] + np.log(10.0), x[-1] - np.log(10.0)
-
-    best = None  # (J, residual, v)
-    for _ in range(restarts):
-        v = np.zeros(grid.n)
-        for _ in range(int(rng.integers(2, 6))):
-            center = rng.uniform(lo, hi)
-            width = rng.uniform(0.4, 1.2)
-            v += rng.uniform(0.3, 1.0) * np.exp(-(((x - center) / width) ** 2))
-        v = np.abs(v) + 1e-3
-        v = _renormalize(op, v, gamma)
-        j_val = _j_and_multiplier(op, v)[0]
-        alpha = 1.0
-        for _ in range(max(budget, 0)):
-            grad = _gradient(op, v, 1.0)  # of J itself: its mass term has lam = 1
-            mv = op.mass_diag * v
-            pg = op.solve_spd(grad, 1.0)  # (M + K)^{-1} grad
-            pmv = op.solve_spd(mv, 1.0)
-            theta = float(np.sum(mv * pg) / np.sum(mv * pmv))
-            direction = pg - theta * pmv  # tangent to the mass sphere
-            if float(np.sum(grad * direction)) <= 1e-30:
-                break
-            moved = False
-            while alpha > 1e-16:
-                v_try = v - alpha * direction
-                if op.mass(v_try) > 0.0:
-                    v_try = _renormalize(op, v_try, gamma)
-                    j_try = _j_and_multiplier(op, v_try)[0]
-                    if j_try <= j_val - 1e-15:
-                        moved = True
-                        break
-                alpha *= 0.5
-            if not moved:
-                break
-            v, j_val = v_try, j_try
-            alpha = min(alpha * 1.5, 1e4)
-        rn = _residual_norm(op, v, _j_and_multiplier(op, v)[1])
-        if best is None or (j_val, rn) < (best[0], best[1]):
-            best = (j_val, rn, v)
-
-    j_best, rn_best, v_best = best
-    lam = _j_and_multiplier(op, v_best)[1]
-    return _package(op, v_best, lam, rn_best, restarts, (j_best,), converged=False)

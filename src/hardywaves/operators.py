@@ -31,7 +31,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from .errors import ShapeError
 from .radial import Field, Params, RadialGrid, unit_ball_volume
 
-__all__ = ["RadialOperator", "singular_weight"]
+__all__ = ["RadialOperator"]
 
 # tridiagonal LAPACK routines, called directly: ptsv for the SPD solve, gtsv
 # for Newton's indefinite solve and the Cayley stage with a potential, and
@@ -47,16 +47,6 @@ def dirichlet_form(stiffness: float, v: np.ndarray) -> float:
     return float(np.sum(stiffness * np.abs(np.diff(v)) ** 2) + stiffness * np.abs(v[-1]) ** 2)
 
 
-def singular_weight(grid: RadialGrid, params: Params) -> np.ndarray:
-    """Nodal samples of the nonlinear weight r^{-(q-2)(N-2)/2} g(r).
-
-    Finite because r_min > 0; locally integrable against r dr for q below
-    the critical exponent, so quadratures converge under refinement.
-    """
-    base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
-    return base * params.weight_values(grid.nodes)
-
-
 class RadialOperator:
     """Assembled K, M and nonlinear weight for one (grid, params) pair."""
 
@@ -69,7 +59,10 @@ class RadialOperator:
         self.k_lower = np.full(grid.n - 1, -self.stiffness)  # off-diagonal of K
         self.k_diag = np.full(grid.n, 2.0 * self.stiffness)
         self.k_diag[0] = self.stiffness
-        self.w_sing = singular_weight(grid, params)
+        # the nonlinear weight r^{-(q-2)(N-2)/2} g(r): finite because r_min > 0,
+        # and locally integrable against r dr for q below the critical exponent
+        base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
+        self.w_sing = base * params.weight_values(grid.nodes)
         self._cayley = None  # (dt, Cayley bands, gttrf factors of M + i dt/2 K)
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----

@@ -27,7 +27,6 @@ __all__ = [
     "build_grid",
     "to_u",
     "to_v",
-    "log_time_coordinate",
     "integrate_mu",
 ]
 
@@ -210,19 +209,6 @@ def to_v(u: Field, N: int) -> Field:
     return u.with_values(u.values / _transform_factor(u.grid, N))
 
 
-def log_time_coordinate(r, N: int):
-    """Origin coordinate t = (-log r)^{-1/(N-2)} for 0 < r < 1.
-
-    Strictly increasing in r, with t -> 0 as r -> 0; it inverts exactly as
-    r = exp(-t^{-(N-2)}).
-    """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("log_time_coordinate requires 0 < r < 1")
-    t = (-np.log(r_arr)) ** (-1.0 / (N - 2))
-    return float(t) if np.isscalar(r) else t
-
-
 def check_origin_nodes(grid: RadialGrid) -> None:
     """Raise DomainError unless the three smallest nodes, which
     origin_intercept fits, lie below r = 1, where the origin coordinate is
@@ -232,10 +218,11 @@ def check_origin_nodes(grid: RadialGrid) -> None:
 
 
 def origin_intercept(samples, grid: RadialGrid, N: int) -> float:
-    """Value at r = 0 of the least-squares line in t = log_time_coordinate(r)
-    through samples at the three smallest nodes, which must lie below r = 1."""
+    """Value at r = 0 of the least-squares line through samples at the three
+    smallest nodes, which must lie below r = 1, in the origin coordinate
+    t = (-log r)^{-1/(N-2)}: strictly increasing in r, with t -> 0 as r -> 0."""
     check_origin_nodes(grid)
-    t = log_time_coordinate(grid.nodes[:3], N)
+    t = (-np.log(grid.nodes[:3])) ** (-1.0 / (N - 2))
     design = np.vstack([np.ones_like(t), t]).T
     coef, *_ = np.linalg.lstsq(design, samples, rcond=None)
     return float(coef[0])

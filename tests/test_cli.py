@@ -623,6 +623,8 @@ def test_empty_sample_count_is_config_error(command, samples, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["ground-state", "--tol", "nan"],
     ["ground-state", "--tol", "-1"],
+    ["ground-state", "--max-iter", "0"],
+    ["ground-state", "--max-iter", "-3"],
     ["evolve", "--dt", "inf"],
     ["evolve", "--dt", "nan"],
     ["evolve", "--steps", "0"],

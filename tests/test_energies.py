@@ -3,24 +3,22 @@ import pytest
 from scipy.integrate import quad
 
 from hardywaves import (
-    DegenerateInputError,
     DomainError,
     Field,
     ParameterError,
     Params,
     WeightSpec,
     build_grid,
-    energy_J,
     hardy_functional_u,
     integrate_mu,
-    lagrange_multiplier,
-    nonlinear_term,
     surface_term,
     surface_term_limit,
     to_u,
     unit_ball_volume,
     weighted_dirichlet,
 )
+from hardywaves.energies import _energy_report
+from hardywaves.operators import RadialOperator
 
 
 def log_bump(grid, center, width=1.0, amp=1.0):
@@ -145,8 +143,7 @@ def test_surface_term_domain_error(grid2k):
 
 
 def test_nonlinear_zero(grid2k, params33):
-    v = Field(values=np.zeros(grid2k.n), grid=grid2k)
-    assert nonlinear_term(v, params33) == 0.0
+    assert RadialOperator(grid2k, params33).nonlinear(np.zeros(grid2k.n)) == 0.0
 
 
 def test_nonlinear_gaussian_against_quad_oracle(grid8k, params33):
@@ -158,43 +155,41 @@ def test_nonlinear_gaussian_against_quad_oracle(grid8k, params33):
     oracle, err = quad(lambda r: r**0.5 * np.exp(-1.5 * r**2), 0.0, np.inf)
     assert abs(oracle - closed) < 1e-7
     expected = (4.0 * np.pi / 3.0) * closed
-    v = Field(values=np.exp(-grid8k.nodes**2 / 2.0), grid=grid8k)
-    assert abs(nonlinear_term(v, params33) - expected) / expected < 1e-6
+    v = np.exp(-grid8k.nodes**2 / 2.0)
+    assert abs(RadialOperator(grid8k, params33).nonlinear(v) - expected) / expected < 1e-6
 
 
 def test_nonlinear_homogeneity(grid2k, params33):
-    v = log_bump(grid2k, 0.5)
-    base = nonlinear_term(v, params33)
-    scaled = nonlinear_term(v.with_values(2.5 * v.values), params33)
+    op = RadialOperator(grid2k, params33)
+    v = log_bump(grid2k, 0.5).values
+    base = op.nonlinear(v)
+    scaled = op.nonlinear(2.5 * v)
     assert abs(scaled - 2.5**3 * base) / scaled < 1e-13
-
-
-@pytest.mark.parametrize("N,q", [(3, 3.0), (4, 2.5), (5, 2.6)])
-def test_nonlinear_term_is_the_solvers_F(grid8k, N, q):
-    # one discrete F: the checks' value and the solver's agree to the last bit
-    from hardywaves.checks import random_fields
-    from hardywaves.operators import RadialOperator
-
-    params = Params(N=N, q=q)
-    op = RadialOperator(grid8k, params)
-    for _, v in random_fields(grid8k, 50, seed=0):
-        assert nonlinear_term(v, params) == op.nonlinear(v.values)
 
 
 # ---------------------------------------------------------------------------
 # energy report and multiplier
 
 
+def energy_report(v: Field, params: Params):
+    return _energy_report(RadialOperator(v.grid, params), v.values)
+
+
+def multiplier(rep, q: float) -> float:
+    """The integrated identity lambda = (q F - D) / M of an energy report."""
+    return (q * rep.nonlinear - rep.dirichlet_mu) / rep.mass_mu
+
+
 def test_energy_report_zero_field(grid2k, params33):
-    rep = energy_J(Field(values=np.zeros(grid2k.n), grid=grid2k), params33)
+    rep = energy_report(Field(values=np.zeros(grid2k.n), grid=grid2k), params33)
     assert rep.E == rep.J == rep.dirichlet_mu == rep.mass_mu == rep.nonlinear == 0.0
 
 
 def test_energy_report_gaussian(grid8k, params33):
     # dirichlet = 2 pi, mass = 2 pi  =>  E = pi - F,  J = E + pi
     v = Field(values=np.exp(-grid8k.nodes**2 / 2.0), grid=grid8k)
-    rep = energy_J(v, params33)
-    f_val = nonlinear_term(v, params33)
+    rep = energy_report(v, params33)
+    f_val = RadialOperator(grid8k, params33).nonlinear(v.values)
     assert abs(rep.mass_mu - 2.0 * np.pi) < 1e-6
     assert abs(rep.E - (np.pi - f_val)) < 1e-5
     assert abs(rep.J - (rep.E + np.pi)) < 1e-6
@@ -202,7 +197,7 @@ def test_energy_report_gaussian(grid8k, params33):
 
 def test_energy_report_identity_exact(grid2k, params33):
     v = log_bump(grid2k, 1.3, width=0.7, amp=0.8)
-    rep = energy_J(v, params33)
+    rep = energy_report(v, params33)
     assert rep.J - rep.E - 0.5 * rep.mass_mu == 0.0
     assert rep.h_norm_sq == rep.dirichlet_mu + rep.mass_mu
 
@@ -213,7 +208,7 @@ def test_lagrange_multiplier_sign_without_nonlinearity(grid2k):
     zero_weight = WeightSpec(omega_zero=0.0, omega_inf=0.0, radii=radii, profile=np.zeros(64))
     p = Params(N=3, q=3.0, weight=zero_weight)
     v = log_bump(grid2k, 0.5)
-    lam = lagrange_multiplier(v, p)
+    lam = multiplier(energy_report(v, p), p.q)
     expected = -weighted_dirichlet(v, 3) / integrate_mu(np.abs(v.values) ** 2, grid2k, 3)
     assert lam <= 0.0
     assert abs(lam - expected) < 1e-12 * abs(expected)
@@ -223,15 +218,10 @@ def test_lagrange_multiplier_scaling_algebra(grid2k, params33):
     # q = 3: lambda(c v) = (c q F(v) - D(v)) / M(v)
     v = log_bump(grid2k, 0.5)
     c = 1.9
-    rep = energy_J(v, params33)
+    rep = energy_report(v, params33)
     expected = (c * params33.q * rep.nonlinear - rep.dirichlet_mu) / rep.mass_mu
-    lam_scaled = lagrange_multiplier(v.with_values(c * v.values), params33)
+    lam_scaled = multiplier(energy_report(v.with_values(c * v.values), params33), params33.q)
     assert abs(lam_scaled - expected) < 1e-12 * max(1.0, abs(expected))
-
-
-def test_lagrange_multiplier_zero_mass(grid2k, params33):
-    with pytest.raises(DegenerateInputError):
-        lagrange_multiplier(Field(values=np.zeros(grid2k.n), grid=grid2k), params33)
 
 
 @pytest.mark.parametrize("N", [2, 3.5])

@@ -10,12 +10,12 @@ from hardywaves import (
     ShapeError,
     build_grid,
     integrate_mu,
-    log_time_coordinate,
     reciprocal_grid,
     to_u,
     to_v,
     unit_ball_volume,
 )
+from hardywaves.radial import origin_intercept
 
 
 def test_grid_constructor_echo():
@@ -159,31 +159,19 @@ def test_transform_is_mass_isometry():
     assert abs(mass_v - mass_u) < 1e-13 * mass_v
 
 
-def test_log_time_coordinate_values():
-    assert abs(log_time_coordinate(np.exp(-1.0), 3) - 1.0) < 1e-14
-    assert abs(log_time_coordinate(np.exp(-8.0), 4) - 8.0**-0.5) < 1e-14
+def test_origin_intercept_recovers_line_in_origin_coordinate():
+    # samples a + b t(r) with t = (-log r)^{-1/(N-2)}: the intercept is a
+    grid = build_grid(64, np.exp(-8.0), 10.0)
+    a, b = 0.75, -2.5
+    for N in (3, 4, 5):
+        t = (1.0 / np.log(1.0 / grid.nodes[:3])) ** (1.0 / (N - 2))
+        assert abs(origin_intercept(a + b * t, grid, N) - a) < 1e-12
 
 
-def test_log_time_coordinate_monotone_to_zero():
-    r = np.logspace(-2, -12, 30)  # decreasing
-    t = log_time_coordinate(r, 3)
-    assert np.all(np.diff(t) < 0)
-    assert t[-1] < t[0] < 1.0
-    assert t[-1] > 0.0
-
-
-def test_log_time_coordinate_inverts_exactly():
-    r = np.logspace(-9, -1, 50)
-    for N in (3, 4):
-        t = log_time_coordinate(r, N)
-        assert np.allclose(np.exp(-t ** (-(N - 2.0))), r, rtol=1e-12)
-
-
-def test_log_time_coordinate_domain_error():
-    with pytest.raises(DomainError):
-        log_time_coordinate(1.0, 3)
-    with pytest.raises(DomainError):
-        log_time_coordinate(2.0, 3)
+def test_origin_intercept_domain_error():
+    # the origin coordinate is defined below r = 1 only
+    with pytest.raises(DomainError, match="below r = 1"):
+        origin_intercept(np.ones(3), build_grid(64, 1.0, 10.0), 3)
 
 
 def test_field_requires_finite_values():
