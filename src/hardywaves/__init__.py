@@ -4,8 +4,6 @@ conservative propagation in the transformed variable, orbit-distance
 stability experiments, the Kelvin-dual norm, and inequality checkers."""
 
 from .checks import (
-    InequalityReport,
-    WeightConditionReport,
     WeightSpec,
     check_ckn,
     check_hardy,

@@ -29,8 +29,6 @@ from .radial import (
 
 __all__ = [
     "WeightSpec",
-    "InequalityReport",
-    "WeightConditionReport",
     "random_fields",
     "check_hardy",
     "check_ckn",
@@ -122,34 +120,13 @@ class WeightSpec:
         return out
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Outcome of one sampled inequality check."""
-
-    n_samples: int
-    min_ratio: float
-    empirical_constant: float
-    violating_sample: dict | None = None
-
-
-@dataclass(frozen=True)
-class WeightConditionReport:
-    """Two verdicts on a weight: the exponent window and the integrability
-    sufficient condition."""
-
-    threshold: float
-    admissible_zero: bool
-    admissible_inf: bool
-    l1_quadrature: float
-    lq_quadrature: float
-    integrable_sufficient: bool
-
-    @property
-    def admissible(self) -> bool:
-        return self.admissible_zero and self.admissible_inf
-
-    def __bool__(self) -> bool:
-        return self.admissible
+def _report(sample_count: int, violating: dict | None, **payload) -> dict:
+    """A check's FORMATS.md payload: ``payload`` plus ``n_samples`` and, when
+    one was found, ``violating_sample``."""
+    payload["n_samples"] = sample_count
+    if violating is not None:
+        payload["violating_sample"] = violating
+    return payload
 
 
 def random_fields(
@@ -191,12 +168,12 @@ def check_hardy(
     seed: int,
     N: int,
     grid: RadialGrid,
-) -> InequalityReport:
+) -> dict:
     """Sampled discrete Hardy inequality with its optimal constant.
 
     For transform images I(u) equals the weighted Dirichlet energy of v, so
-    min_ratio records the smallest I(u) found (PASS when >= -1e-8) and
-    empirical_constant the worst relative identity mismatch.
+    min_hardy_functional is the smallest I(u) found (passed when >= -1e-8)
+    and max_identity_mismatch the worst relative identity mismatch.
     """
     min_i = np.inf
     worst_mismatch = 0.0
@@ -211,12 +188,8 @@ def check_hardy(
             min_i = hardy
             if hardy < -1e-8:
                 violating = info
-    return InequalityReport(
-        n_samples=sample_count,
-        min_ratio=float(min_i),
-        empirical_constant=float(worst_mismatch),
-        violating_sample=violating,
-    )
+    return _report(sample_count, violating, min_hardy_functional=float(min_i),
+                   max_identity_mismatch=float(worst_mismatch), passed=bool(min_i >= -1e-8))
 
 
 def _ckn_ratio(op: RadialOperator, v: np.ndarray) -> float:
@@ -231,13 +204,14 @@ def check_ckn(
     seed: int,
     params: Params,
     grid: RadialGrid,
-) -> InequalityReport:
+) -> dict:
     """Weighted interpolation inequality: empirical constant over samples of
 
         int |x|^{-q(N-2)/2} |v|^q dx  /  D^{N(q-2)/4} M^{(2q - N(q-2))/4} .
 
     Both sides are q-homogeneous and dilation-balanced, so the ratio is
-    scale-free; PASS when the maximum is finite and refinement-stable.
+    scale-free; empirical_constant is the maximum (passed when finite; its
+    refinement stability is judged across grids) and min_ratio the minimum.
     """
     # the inequality has g == 1
     op = RadialOperator(grid, Params(N=params.N, q=params.q, gamma=params.gamma))
@@ -247,15 +221,12 @@ def check_ckn(
         ratio = _ckn_ratio(op, v.values)
         worst = max(worst, ratio)
         least = min(least, ratio)
-    return InequalityReport(
-        n_samples=sample_count,
-        min_ratio=float(least),
-        empirical_constant=float(worst),
-    )
+    return _report(sample_count, None, empirical_constant=float(worst),
+                   min_ratio=float(least), passed=bool(np.isfinite(worst)))
 
 
-def check_weight_condition(spec: WeightSpec, N: int, q: float) -> WeightConditionReport:
-    """Admissibility of the weight exponents:
+def check_weight_condition(spec: WeightSpec, N: int, q: float) -> dict:
+    """Admissibility of the weight exponents (passed when both hold):
 
         omega_zero > -N + q(N-2)/2   and   omega_inf < -N + q(N-2)/2 .
 
@@ -277,14 +248,19 @@ def check_weight_condition(spec: WeightSpec, N: int, q: float) -> WeightConditio
     # p*-scaled exponents clear the same bars
     in_l1 = spec.omega_zero > -N and spec.omega_inf < -N
     in_lq = spec.omega_zero * p_star > -N and spec.omega_inf * p_star < -N
-    integrable = in_l1 and in_lq
-    return WeightConditionReport(
+    admissible_zero = bool(spec.omega_zero > threshold)
+    admissible_inf = bool(spec.omega_inf < threshold)
+    admissible = admissible_zero and admissible_inf
+    return dict(
         threshold=threshold,
-        admissible_zero=spec.omega_zero > threshold,
-        admissible_inf=spec.omega_inf < threshold,
+        admissible_zero=admissible_zero,
+        admissible_inf=admissible_inf,
+        admissible=admissible,
         l1_quadrature=l1,
         lq_quadrature=lq,
-        integrable_sufficient=integrable,
+        integrable_sufficient=bool(in_l1 and in_lq),
+        passed=admissible,
+        n_samples=0,  # the weight draws no samples
     )
 
 
@@ -305,15 +281,16 @@ def check_ihs(
     N: int,
     grid: RadialGrid,
     h_kind: str = "piecewise-quadratic",
-) -> InequalityReport:
+) -> dict:
     """Improved Sobolev bound in the energy norm:
 
         ||phi||_H  >=  c * ( int h |phi|^{2*} dx )^{(N-2)/N} .
 
-    min_ratio is the empirical lower constant c over radial samples; the
-    printed inequality carries no explicit constant, so the check asserts
-    only that c is strictly positive and refinement-stable.  For the
-    log-weight kind, samples are confined to the ball where h is defined.
+    min_ratio (and empirical_constant, the same value) is the empirical lower
+    constant c over radial samples; the printed inequality carries no
+    explicit constant, so the check passes when c is strictly positive (its
+    refinement stability is judged across grids).  For the log-weight kind,
+    samples are confined to the ball where h is defined.
     """
     two_star = critical_exponent(N)
     ball_radius = grid.r_max / 10.0
@@ -338,9 +315,5 @@ def check_ihs(
             least = ratio
             if ratio <= 0.0:
                 violating = info
-    return InequalityReport(
-        n_samples=sample_count,
-        min_ratio=float(least),
-        empirical_constant=float(least),
-        violating_sample=violating,
-    )
+    return _report(sample_count, violating, min_ratio=float(least),
+                   empirical_constant=float(least), passed=bool(least > 0.0))

@@ -95,7 +95,8 @@ def lambda_infinity(w: Field, N: int) -> float:
 def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
     """Numerical checks used by tests and the CLI: involution error and
     W-vs-H norm agreement on random fields w = to_u(bump sample), which
-    carry the critical r^{-(N-2)/2} factor."""
+    carry the critical r^{-(N-2)/2} factor.  Passed when both relative
+    errors are small: involution < 1e-12 (node-exact), norms < 1e-6."""
     worst_inv = 0.0
     worst_iso = 0.0
     for _, bumps in random_fields(grid, samples, seed):
@@ -113,4 +114,5 @@ def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
         "samples": samples,
         "max_involution_error": worst_inv,
         "max_norm_mismatch": worst_iso,
+        "passed": bool(worst_inv < 1e-12 and worst_iso < 1e-6),
     }

@@ -5,8 +5,8 @@
 Runs, under each tree's ``src`` directory, every task of the perfbench
 workloads (the 21 survey ground states, its checks and Kelvin run, the
 dispersion evolves and the orbital stability run for each perturbation kind)
-plus ``check weight``, then compares every file the two trees wrote, byte for
-byte.  Exits 0 when all are equal.  A perf change that claims identical
+plus the fixed ``EXTRA_TASKS``, then compares every file the two trees wrote,
+byte for byte.  Exits 0 when all are equal.  A perf change that claims identical
 artifacts runs it against a checkout of its parent commit.
 """
 
@@ -34,6 +34,15 @@ for name, argv in json.loads(sys.argv[1]):
 """
 
 
+# check branches and verdicts the workloads leave out: the log-weight ihs
+# kind, and a weight that fails (omega_inf above the threshold -3/2)
+EXTRA_TASKS = [
+    ("check-weight", ["check", "weight"]),
+    ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
+    ("check-weight-failing", ["check", "weight", "--omega-zero", "0", "--omega-inf", "0"]),
+]
+
+
 def _tasks() -> list[tuple[str, list[str]]]:
     rng = np.random.default_rng(0)
     tasks = workloads.survey_round(rng) + workloads.dispersion_round(rng)
@@ -43,7 +52,7 @@ def _tasks() -> list[tuple[str, list[str]]]:
         argv[argv.index("--kind") + 1] = kind
         tasks.append(workloads.Task("stability", tuple(argv), stability.check))
     named = [(f"{k:02d}-{task.kind}", list(task.argv)) for k, task in enumerate(tasks)]
-    return named + [("check-weight", ["check", "weight"])]
+    return named + EXTRA_TASKS
 
 
 def _run(src: Path, tasks, outroot: Path) -> None:

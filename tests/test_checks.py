@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,9 +25,9 @@ from hardywaves.operators import RadialOperator
 
 def test_hardy_check_nonnegative_and_identity(grid8k):
     report = check_hardy(200, seed=42, N=3, grid=grid8k)
-    assert report.min_ratio >= -1e-8
-    assert report.empirical_constant < 1e-6  # worst relative identity mismatch
-    assert report.violating_sample is None
+    assert report["passed"] is True  # min_hardy_functional >= -1e-8
+    assert report["max_identity_mismatch"] < 1e-6
+    assert "violating_sample" not in report
 
 
 def test_hardy_strictly_positive_for_bump(grid8k):
@@ -92,8 +90,8 @@ def test_ckn_dilation_invariance(grid8k, params33, s):
 
 def test_ckn_report_and_q_range(grid8k, params33):
     report = check_ckn(40, seed=3, params=params33, grid=grid8k)
-    assert np.isfinite(report.empirical_constant)
-    assert 0.0 < report.min_ratio <= report.empirical_constant
+    assert report["passed"] is True  # empirical_constant finite
+    assert 0.0 < report["min_ratio"] <= report["empirical_constant"]
     with pytest.raises(ParameterError):
         Params(N=3, q=6.5)  # outside 2 < q < 2N/(N-2)
 
@@ -116,18 +114,19 @@ def test_ckn_report_and_q_range(grid8k, params33):
 def test_weight_condition_truth_table(omega_zero, omega_inf, N, q, expected):
     spec = WeightSpec.from_exponents(omega_zero, omega_inf)
     report = check_weight_condition(spec, N, q)
-    assert bool(report) is expected
-    assert report.threshold == -N + q * (N - 2) / 2.0
+    assert report["passed"] is expected
+    assert report["admissible"] is expected
+    assert report["threshold"] == -N + q * (N - 2) / 2.0
 
 
 def test_weight_condition_integrability_implies_admissible():
     # Remark-style sufficient condition: g in L^1 and L^{2*/(2*-q)}
     spec = WeightSpec.from_exponents(-1.0, -4.0)
     report = check_weight_condition(spec, 3, 3.0)
-    assert report.integrable_sufficient
-    assert report.admissible
+    assert report["integrable_sufficient"] is True
+    assert report["admissible"] is True
     not_l1 = check_weight_condition(WeightSpec.from_exponents(0.0, -2.0), 3, 3.0)
-    assert not not_l1.integrable_sufficient  # admissible but not integrable
+    assert not_l1["integrable_sufficient"] is False  # admissible but not integrable
 
 
 def test_weight_condition_q_range():
@@ -164,8 +163,8 @@ def test_weight_spec_evaluation_extends_power_laws():
 @pytest.mark.parametrize("h_kind", ["piecewise-quadratic", "log-weight"])
 def test_ihs_positive_ratio(grid8k, h_kind):
     report = check_ihs(40, seed=9, N=3, h_kind=h_kind, grid=grid8k)
-    assert report.min_ratio > 0.0
-    assert np.isfinite(report.min_ratio)
+    assert report["passed"] is True  # min_ratio > 0
+    assert np.isfinite(report["min_ratio"])
 
 
 def test_ihs_unknown_kind(grid8k):
@@ -200,10 +199,10 @@ def test_ihs_weight_tames_critical_singularity():
 def test_reports_reproducible(grid8k, params33):
     a = check_hardy(25, seed=7, N=3, grid=grid8k)
     b = check_hardy(25, seed=7, N=3, grid=grid8k)
-    assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    assert a == b
     c = check_ckn(10, seed=7, params=params33, grid=grid8k)
     d = check_ckn(10, seed=7, params=params33, grid=grid8k)
-    assert dataclasses.asdict(c) == dataclasses.asdict(d)
+    assert c == d
 
 
 def test_random_fields_supported_away_from_boundaries(grid8k):

@@ -449,11 +449,16 @@ def test_write_csv_spells_every_special_value(tmp_path):
                                          b"4.9406564584124654e-324\r\n1.0000000000000001e+300\r\n")
 
 
-@pytest.mark.parametrize("which", ["hardy", "ckn", "ihs", "weight"])
-def test_check_rejects_bad_dimension(which, tmp_path, capsys):
+@pytest.mark.parametrize("which, argv", [
+    *((which, ["--N", "2"]) for which in ("hardy", "ckn", "ihs", "weight")),
+    # weight reads no grid, but a bad one is still a config error
+    ("weight", ["--n", "8"]),
+    ("weight", ["--r-min", "5", "--r-max", "1"]),
+], ids=["hardy", "ckn", "ihs", "weight", "weight-n-8", "weight-r-min-above-r-max"])
+def test_check_rejects_bad_dimension(which, argv, tmp_path, capsys):
     # N = 2 used to reach critical_exponent and divide by zero in ihs and weight
     out = tmp_path / "check"
-    assert run_cli(["check", which, "--N", "2", "--n", "256", "--samples", "2",
+    assert run_cli(["check", which, "--n", "256", "--samples", "2", *argv,
                     "--outdir", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / f"check_{which}.json").exists()

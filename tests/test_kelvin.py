@@ -75,6 +75,7 @@ def test_w_norm_isometry_with_direct_side(wide_grid):
     report = kelvin_verify(wide_grid, 3, samples=100, seed=42)
     assert report["max_norm_mismatch"] < 1e-6
     assert report["max_involution_error"] < 1e-12
+    assert report["passed"] is True
 
 
 def test_lambda_infinity_reproduces_origin_formula(wide_grid):
