@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from .energies import EnergyReport, _energy_report
 from .errors import ConvergenceError, DomainError, ParameterError

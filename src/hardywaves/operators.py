@@ -21,23 +21,52 @@ used downstream.
 A Crank-Nicolson stage is solved for its midpoint against M v, so it never
 forms K v, whose rounding an explicit right-hand side M v - i dt/2 K v
 would carry into the stage.
+
+The five tridiagonal LAPACK routines (dptsv, dgtsv, zgtsv, zgttrf, zgttrs)
+come from scipy's compiled f2py module ``scipy/linalg/_flapack``, loaded from
+its file under its own module name.  Importing the ``scipy.linalg`` package
+instead would take half of a short process's start-up, for routines that are
+the very same objects: a later ``import scipy.linalg`` shares the module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .errors import ShapeError
 from .radial import Field, Params, RadialGrid, unit_ball_volume
 
 __all__ = ["RadialOperator"]
 
+
+def _load_flapack():
+    """scipy's ``scipy.linalg._flapack`` extension module, loaded from its file
+    without importing the ``scipy.linalg`` package."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    paths = [Path(scipy_spec.origin).parent / "linalg" / f"_flapack{suffix}"
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in paths:
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK module not found; looked for {', '.join(map(str, paths))}")
+
+
 # tridiagonal LAPACK routines, called directly: ptsv for the SPD solve, gtsv
 # for Newton's indefinite solve and the Cayley stage with a potential, and
 # gttrf/gttrs to factor the fixed Cayley matrix once
-_DPTSV, _DGTSV = get_lapack_funcs(("ptsv", "gtsv"), dtype=np.float64)
-_ZGTSV, _ZGTTRF, _ZGTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np.complex128)
+_flapack = _load_flapack()
+_DPTSV, _DGTSV = _flapack.dptsv, _flapack.dgtsv
+_ZGTSV, _ZGTTRF, _ZGTTRS = _flapack.zgtsv, _flapack.zgttrf, _flapack.zgttrs
 
 
 def dirichlet_form(stiffness: float, v: np.ndarray) -> float:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardywaves
 from hardywaves import cli, errors, unit_ball_volume
 from hardywaves.cli import main
 
@@ -709,3 +713,31 @@ def test_log_weight_support_message_names_its_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "r_max / r_min >= 738.9" in err
     assert not list(out.glob("*.json"))
+
+
+# one small run of each command in a fresh interpreter, then the scipy
+# packages that would double a process's start-up must still be unloaded
+_EVERY_COMMAND = """
+import json, sys
+from hardywaves import cli
+out = sys.argv[1]
+grid = ["--n", "256", "--r-min", "1e-4", "--r-max", "30"]
+for k, argv in enumerate([
+    ["ground-state", *grid],
+    ["evolve", "--linear", *grid, "--steps", "5", "--dt", "1e-3"],
+    ["stability", *grid, "--delta", "1e-2", "--T", "0.1", "--dt", "1e-3"],
+    ["check", "hardy", *grid, "--samples", "2"],
+    ["kelvin-verify", "--n", "256", "--samples", "2"],
+]):
+    assert cli.main([*argv, "--outdir", f"{out}/{k}"]) == 0, argv
+print(json.dumps([m for m in ("scipy.linalg", "scipy._lib._array_api") if m in sys.modules]))
+"""
+
+
+def test_commands_do_not_import_scipy_linalg(tmp_path):
+    src = str(Path(hardywaves.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,8 +1,12 @@
+import importlib.machinery
+import importlib.util
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, solveh_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs, solveh_banded
 
-from hardywaves import build_grid
+from hardywaves import build_grid, operators
 from hardywaves.operators import RadialOperator
 
 
@@ -142,3 +146,73 @@ def test_stiffness_is_one_coefficient(params33):
     ref = op.sphere * np.vdot(b, dense @ a)
     scale = np.sqrt(op.dirichlet(a) * op.dirichlet(b))
     assert abs(op.dirichlet_inner(a, b) - ref) <= 1e-13 * scale
+
+
+def _tridiagonal_systems(rng, n, nrhs, singular):
+    """An SPD real system, a general real and a general complex one, each
+    with ``nrhs`` right-hand sides; ``singular`` zeroes the diagonals, which
+    makes every matrix singular for odd n."""
+    def draw(size, dtype=float):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if dtype is complex else x
+
+    scale = 0.0 if singular else 1.0
+    spd = (scale * (4.0 + np.abs(draw(n))), draw(n - 1))
+    real = (draw(n - 1), scale * draw(n), draw(n - 1))
+    cplx = (draw(n - 1, complex), scale * draw(n, complex), draw(n - 1, complex))
+    rhs = draw((n, nrhs)) if nrhs > 1 else draw(n)
+    rhs_c = draw((n, nrhs), complex) if nrhs > 1 else draw(n, complex)
+    return spd, real, cplx, rhs, rhs_c
+
+
+def _lapack_outcomes(routines, systems):
+    """Each routine's outputs, or the type and message of what it raised:
+    scipy's wrappers reject n = 1, and n = 2 for gttrf and gttrs."""
+    ptsv, dgtsv, zgtsv, zgttrf, zgttrs = routines
+    spd, real, cplx, rhs, rhs_c = systems
+    calls = [lambda: ptsv(*spd, rhs), lambda: dgtsv(*real, rhs), lambda: zgtsv(*cplx, rhs_c),
+             lambda: zgttrf(*cplx), lambda: zgttrs(*zgttrf(*cplx)[:-1], rhs_c)]
+    outcomes = []
+    for call in calls:
+        try:
+            outcomes.append([np.asarray(out) for out in call()])
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("n, nrhs, singular", [
+    *((n, nrhs, False) for n in (1, 2, 17, 8192) for nrhs in (1, 2)),
+    (17, 1, True), (17, 2, True),
+])
+def test_loaded_lapack_matches_scipy_linalg_bit_for_bit(n, nrhs, singular):
+    # the five routines loaded from scipy's compiled module give, output by
+    # output, the bits that scipy.linalg's own lookup gives; two right-hand
+    # sides are the Newton polish's bordered step
+    ours = (operators._DPTSV, operators._DGTSV, operators._ZGTSV, operators._ZGTTRF,
+            operators._ZGTTRS)
+    theirs = (*get_lapack_funcs(("ptsv", "gtsv"), dtype=np.float64),
+              *get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np.complex128))
+    systems = _tridiagonal_systems(np.random.default_rng([n, nrhs, singular]), n, nrhs, singular)
+    got, want = _lapack_outcomes(ours, systems), _lapack_outcomes(theirs, systems)
+    for a_out, b_out in zip(got, want):
+        if isinstance(b_out, tuple):  # rejected by the wrapper, on both sides alike
+            assert n <= 2 and a_out == b_out
+            continue
+        assert len(a_out) == len(b_out)
+        for a, b in zip(a_out, b_out):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                  np.ascontiguousarray(b).view(np.uint8))
+    if n > 2:
+        infos = [out[-1] for out in got[:4]]  # ptsv, dgtsv, zgtsv, zgttrf
+        assert all(infos) if singular else not any(infos)
+
+
+def test_lapack_loader_names_the_file_it_missed(monkeypatch, tmp_path):
+    (tmp_path / "linalg").mkdir()
+    spec = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError) as raised:
+        operators._load_flapack()
+    assert str(tmp_path / "linalg" / "_flapack") in str(raised.value)
