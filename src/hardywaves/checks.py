@@ -10,6 +10,7 @@ All checks are reproducible from (seed, grid, parameters) exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .radial import (
     Field,
     Params,
     RadialGrid,
+    check_dimension,
     critical_exponent,
     integrate_mu,
     to_u,
@@ -39,85 +41,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Radial weight g with prescribed power behavior at 0 and infinity.
-
-    ``profile`` tabulates g on ``radii``; evaluation interpolates log-log
-    between table nodes and extends by the exact power laws outside.  The
-    tabulation must match the declared exponents (validated by log-log
-    slope fits on the table ends); an identically-zero profile is accepted
-    as the trivial weight.
-    """
+    """Radial weight g(r) = r^{omega_zero} (1 + r)^{omega_inf - omega_zero}: it
+    behaves like r^{omega_zero} at 0 and like r^{omega_inf} at infinity."""
 
     omega_zero: float
     omega_inf: float
-    radii: np.ndarray
-    profile: np.ndarray
 
     def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        profile = np.asarray(self.profile, dtype=float)
-        if radii.ndim != 1 or radii.shape != profile.shape or radii.size < 8:
-            raise ParameterError("weight tabulation needs matching 1-d arrays, >= 8 points")
-        if not np.all(np.diff(radii) > 0.0) or not np.all(radii > 0.0):
-            raise ParameterError("weight radii must be positive and increasing")
-        if np.any(profile < 0.0):
-            raise ParameterError("weight profile must be nonnegative")
-        if np.any(profile > 0.0):
-            self._check_slope(radii, profile, 0, self.omega_zero, "omega_zero")
-            self._check_slope(radii, profile, -1, self.omega_inf, "omega_inf")
-        for name, arr in (("radii", radii), ("profile", profile)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @staticmethod
-    def _check_slope(radii, profile, end, declared, name, npts=4, tol=0.35):
-        sl = slice(0, npts) if end == 0 else slice(-npts, None)
-        seg_r, seg_g = radii[sl], profile[sl]
-        if np.any(seg_g <= 0.0):
-            return  # compactly supported end: any decay exponent is consistent
-        slope = np.polyfit(np.log(seg_r), np.log(seg_g), 1)[0]
-        if abs(slope - declared) > tol:
+        if not (math.isfinite(self.omega_zero) and math.isfinite(self.omega_inf)):
             raise ParameterError(
-                f"tabulated weight behaves like r^{slope:.3f} but {name}={declared}"
+                f"weight exponents must be finite, got {self.omega_zero}, {self.omega_inf}"
             )
 
-    @classmethod
-    def from_exponents(
-        cls,
-        omega_zero: float,
-        omega_inf: float,
-        r_min: float = 1e-8,
-        r_max: float = 1e8,
-        n: int = 512,
-    ) -> "WeightSpec":
-        """Canonical profile g(r) = r^{w0} (1 + r)^{winf - w0}."""
-        radii = np.exp(np.linspace(np.log(r_min), np.log(r_max), n))
-        profile = radii**omega_zero * (1.0 + radii) ** (omega_inf - omega_zero)
-        return cls(omega_zero=omega_zero, omega_inf=omega_inf, radii=radii, profile=profile)
-
-    def __eq__(self, other) -> bool:
-        # by value: the generated field-tuple comparison cannot compare arrays
-        if not isinstance(other, WeightSpec):
-            return NotImplemented
-        return (
-            self.omega_zero == other.omega_zero
-            and self.omega_inf == other.omega_inf
-            and np.array_equal(self.radii, other.radii)
-            and np.array_equal(self.profile, other.profile)
-        )
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if not np.any(self.profile > 0.0):
-            return np.zeros_like(r)
-        log_r = np.log(self.radii)
-        log_g = np.log(self.profile)
-        out = np.exp(np.interp(np.log(r), log_r, log_g))
-        below = r < self.radii[0]
-        above = r > self.radii[-1]
-        out[below] = self.profile[0] * (r[below] / self.radii[0]) ** self.omega_zero
-        out[above] = self.profile[-1] * (r[above] / self.radii[-1]) ** self.omega_inf
-        return out
+        return r**self.omega_zero * (1.0 + r) ** (self.omega_inf - self.omega_zero)
 
 
 def _report(sample_count: int, violating: dict | None, **payload) -> dict:
@@ -232,15 +169,17 @@ def check_weight_condition(spec: WeightSpec, N: int, q: float) -> dict:
 
     Also evaluates the sufficient integrability condition
     g in L^1 intersect L^{2*/(2*-q)} (decided from the exponents; the two
-    quadratures of the tabulated profile are reported for reference).
-    Accepts the wide exponent window 1 <= q < 2N/(N-2) of the compactness
-    statement, which includes the q = 2 sanity case.
+    quadratures of g on 512 log-spaced radii in [1e-8, 1e8] are reported for
+    reference).  Accepts the wide exponent window 1 <= q < 2N/(N-2) of the
+    compactness statement, which includes the q = 2 sanity case.
     """
+    N = check_dimension(N)
     if not (1.0 <= q < critical_exponent(N)):
         raise ParameterError(f"weight condition applies for 1 <= q < 2N/(N-2), got q={q}")
     threshold = -N + q * (N - 2) / 2.0
     p_star = critical_exponent(N) / (critical_exponent(N) - q)
-    r, g = spec.radii, spec.profile
+    r = np.exp(np.linspace(np.log(1e-8), np.log(1e8), 512))
+    g = spec(r)
     log_r = np.log(r)
     l1 = N * unit_ball_volume(N) * float(np.trapezoid(g * r**N, log_r))
     lq = N * unit_ball_volume(N) * float(np.trapezoid(g**p_star * r**N, log_r))
@@ -292,6 +231,7 @@ def check_ihs(
     refinement stability is judged across grids).  For the log-weight kind,
     samples are confined to the ball where h is defined.
     """
+    N = check_dimension(N)
     two_star = critical_exponent(N)
     ball_radius = grid.r_max / 10.0
     support = None

@@ -291,7 +291,7 @@ _CHECKS = {
     "hardy": lambda cfg, grid: check_hardy(cfg["samples"], cfg["seed"], cfg["N"], grid=grid),
     "ckn": lambda cfg, grid: check_ckn(cfg["samples"], cfg["seed"], _params_from(cfg), grid=grid),
     "weight": lambda cfg, grid: check_weight_condition(
-        WeightSpec.from_exponents(cfg["omega_zero"], cfg["omega_inf"]), cfg["N"], cfg["q"]
+        WeightSpec(cfg["omega_zero"], cfg["omega_inf"]), cfg["N"], cfg["q"]
     ),
     "ihs": lambda cfg, grid: check_ihs(
         cfg["samples"], cfg["seed"], cfg["N"], h_kind=cfg["h_kind"], grid=grid

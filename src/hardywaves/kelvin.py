@@ -16,7 +16,7 @@ import numpy as np
 
 from .checks import random_fields
 from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
-from .radial import Field, RadialGrid, integrate_mu, to_u, to_v, unit_ball_volume
+from .radial import Field, RadialGrid, check_dimension, integrate_mu, to_u, to_v, unit_ball_volume
 
 __all__ = [
     "reciprocal_grid",
@@ -97,6 +97,7 @@ def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
     W-vs-H norm agreement on random fields w = to_u(bump sample), which
     carry the critical r^{-(N-2)/2} factor.  Passed when both relative
     errors are small: involution < 1e-12 (node-exact), norms < 1e-6."""
+    N = check_dimension(N)
     worst_inv = 0.0
     worst_iso = 0.0
     for _, bumps in random_fields(grid, samples, seed):

@@ -91,7 +91,7 @@ class RadialOperator:
         # the nonlinear weight r^{-(q-2)(N-2)/2} g(r): finite because r_min > 0,
         # and locally integrable against r dr for q below the critical exponent
         base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
-        self.w_sing = base * params.weight_values(grid.nodes)
+        self.w_sing = base if params.weight is None else base * params.weight(grid.nodes)
         self._cayley = None  # (dt, Cayley bands, gttrf factors of M + i dt/2 K)
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----

@@ -61,7 +61,7 @@ class Params:
     N: int
     q: float
     gamma: float = 1.0
-    weight: "object | None" = None  # WeightSpec from checks.py, or None for g == 1
+    weight: "object | None" = None  # any callable g(r) >= 0, e.g. a WeightSpec; None for g == 1
 
     def __post_init__(self):
         object.__setattr__(self, "N", check_dimension(self.N))
@@ -83,12 +83,6 @@ class Params:
             raise ParameterError(
                 f"{context} requires 2 < q < 2 + 4/N = {2.0 + 4.0 / self.N:.6g}; got q={self.q}"
             )
-
-    def weight_values(self, r: np.ndarray) -> np.ndarray:
-        """Weight g sampled on radii r (ones when no weight is configured)."""
-        if self.weight is None:
-            return np.ones_like(r)
-        return self.weight(r)
 
 
 # eq=False on the array-holding records: ``==`` is identity and never raises,

@@ -40,6 +40,7 @@ EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
     ("check-weight-failing", ["check", "weight", "--omega-zero", "0", "--omega-inf", "0"]),
+    ("check-weight-integrable", ["check", "weight", "--omega-zero", "-1", "--omega-inf", "-4"]),
 ]
 
 

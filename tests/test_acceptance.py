@@ -236,7 +236,7 @@ def test_criterion_9_inequality_suite(p33):
         (0.0, -1.0, 3, 2.0, False),
     ]
     table_ok = all(
-        check_weight_condition(WeightSpec.from_exponents(w0, wi), N, q)["passed"] is expected
+        check_weight_condition(WeightSpec(w0, wi), N, q)["passed"] is expected
         for w0, wi, N, q, expected in cases
     )
 

@@ -12,6 +12,7 @@ from hardywaves import (
     check_ihs,
     check_weight_condition,
     hardy_functional_u,
+    kelvin_verify,
     to_u,
     weighted_dirichlet,
 )
@@ -112,7 +113,7 @@ def test_ckn_report_and_q_range(grid8k, params33):
     ],
 )
 def test_weight_condition_truth_table(omega_zero, omega_inf, N, q, expected):
-    spec = WeightSpec.from_exponents(omega_zero, omega_inf)
+    spec = WeightSpec(omega_zero, omega_inf)
     report = check_weight_condition(spec, N, q)
     assert report["passed"] is expected
     assert report["admissible"] is expected
@@ -121,16 +122,16 @@ def test_weight_condition_truth_table(omega_zero, omega_inf, N, q, expected):
 
 def test_weight_condition_integrability_implies_admissible():
     # Remark-style sufficient condition: g in L^1 and L^{2*/(2*-q)}
-    spec = WeightSpec.from_exponents(-1.0, -4.0)
+    spec = WeightSpec(-1.0, -4.0)
     report = check_weight_condition(spec, 3, 3.0)
     assert report["integrable_sufficient"] is True
     assert report["admissible"] is True
-    not_l1 = check_weight_condition(WeightSpec.from_exponents(0.0, -2.0), 3, 3.0)
+    not_l1 = check_weight_condition(WeightSpec(0.0, -2.0), 3, 3.0)
     assert not_l1["integrable_sufficient"] is False  # admissible but not integrable
 
 
 def test_weight_condition_q_range():
-    spec = WeightSpec.from_exponents(0.0, -2.0)
+    spec = WeightSpec(0.0, -2.0)
     with pytest.raises(ParameterError):
         check_weight_condition(spec, 3, 0.5)
     with pytest.raises(ParameterError):
@@ -138,22 +139,17 @@ def test_weight_condition_q_range():
 
 
 def test_weight_spec_validation():
-    with pytest.raises(ParameterError):
-        # tabulation inconsistent with the declared exponents
-        radii = np.logspace(-8, 8, 64)
-        WeightSpec(omega_zero=2.0, omega_inf=-2.0, radii=radii,
-                   profile=radii**0.0 * (1 + radii) ** -2.0)
-    with pytest.raises(ParameterError):
-        WeightSpec(omega_zero=0.0, omega_inf=0.0, radii=np.logspace(-2, 2, 16),
-                   profile=-np.ones(16))
+    for omega_zero, omega_inf in [(np.nan, -2.0), (0.0, np.nan), (np.inf, -2.0), (0.0, -np.inf)]:
+        with pytest.raises(ParameterError, match="finite"):
+            WeightSpec(omega_zero, omega_inf)
 
 
 def test_weight_spec_evaluation_extends_power_laws():
-    spec = WeightSpec.from_exponents(1.0, -2.0, r_min=1e-3, r_max=1e3)
-    r = np.array([1e-6, 1e6])
-    vals = spec(r)
-    assert vals[0] == pytest.approx(spec.profile[0] * (1e-6 / spec.radii[0]) ** 1.0)
-    assert vals[1] == pytest.approx(spec.profile[-1] * (1e6 / spec.radii[-1]) ** -2.0)
+    # g(r) = r^w0 (1 + r)^(winf - w0) behaves like r^w0 at 0 and r^winf at infinity
+    spec = WeightSpec(1.0, -2.0)
+    small, large = np.array([1e-12, 1e-9]), np.array([1e9, 1e12])
+    np.testing.assert_allclose(spec(small) / small**1.0, 1.0, rtol=1e-8)
+    np.testing.assert_allclose(spec(large) / large**-2.0, 1.0, rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +213,16 @@ def test_random_fields_supported_away_from_boundaries(grid8k):
 def test_random_fields_rejects_empty_sample(grid8k, count):
     with pytest.raises(ParameterError, match="sample count"):
         next(random_fields(grid8k, count, seed=1))
+
+
+@pytest.mark.parametrize("check", [
+    lambda grid, N: check_hardy(2, 0, N, grid),
+    lambda grid, N: check_ihs(2, 0, N, grid),
+    lambda grid, N: check_weight_condition(WeightSpec(0.0, -2.0), N, 3.0),
+    lambda grid, N: kelvin_verify(grid, N, 2, 0),
+], ids=["hardy", "ihs", "weight", "kelvin-verify"])
+@pytest.mark.parametrize("N", [2, 3.5])
+def test_checks_reject_bad_dimension(grid2k, check, N):
+    # N = 2 used to divide by zero in ihs and weight, and kelvin_verify reported on it
+    with pytest.raises(ParameterError, match="dimension N"):
+        check(grid2k, N)

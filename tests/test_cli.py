@@ -458,7 +458,11 @@ def test_write_csv_spells_every_special_value(tmp_path):
     # weight reads no grid, but a bad one is still a config error
     ("weight", ["--n", "8"]),
     ("weight", ["--r-min", "5", "--r-max", "1"]),
-], ids=["hardy", "ckn", "ihs", "weight", "weight-n-8", "weight-r-min-above-r-max"])
+    # a non-finite exponent has no weight
+    ("weight", ["--omega-zero", "nan"]),
+    ("weight", ["--omega-inf", "inf"]),
+], ids=["hardy", "ckn", "ihs", "weight", "weight-n-8", "weight-r-min-above-r-max",
+        "weight-omega-zero-nan", "weight-omega-inf-inf"])
 def test_check_rejects_bad_dimension(which, argv, tmp_path, capsys):
     # N = 2 used to reach critical_exponent and divide by zero in ihs and weight
     out = tmp_path / "check"

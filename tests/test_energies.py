@@ -7,7 +7,6 @@ from hardywaves import (
     Field,
     ParameterError,
     Params,
-    WeightSpec,
     build_grid,
     hardy_functional_u,
     integrate_mu,
@@ -204,9 +203,7 @@ def test_energy_report_identity_exact(grid2k, params33):
 
 def test_lagrange_multiplier_sign_without_nonlinearity(grid2k):
     # g == 0 switches the q-term off: lambda = -dirichlet/mass <= 0
-    radii = np.logspace(-8, 8, 64)
-    zero_weight = WeightSpec(omega_zero=0.0, omega_inf=0.0, radii=radii, profile=np.zeros(64))
-    p = Params(N=3, q=3.0, weight=zero_weight)
+    p = Params(N=3, q=3.0, weight=np.zeros_like)
     v = log_bump(grid2k, 0.5)
     lam = multiplier(energy_report(v, p), p.q)
     expected = -weighted_dirichlet(v, 3) / integrate_mu(np.abs(v.values) ** 2, grid2k, 3)

@@ -110,7 +110,7 @@ def test_weighted_nonlinearity_conservation(grid2k):
     # energy is the conserved quantity of the weighted equation
     from hardywaves import WeightSpec
 
-    params = Params(N=3, q=3.0, gamma=1.0, weight=WeightSpec.from_exponents(0.0, -2.0))
+    params = Params(N=3, q=3.0, gamma=1.0, weight=WeightSpec(0.0, -2.0))
     x = grid2k.log_nodes
     v0 = Field(values=np.exp(-(((x - 0.3) / 0.7) ** 2)).astype(complex), grid=grid2k)
     state = propagate(initial_state(v0, params), 1e-3, 500)

@@ -107,7 +107,7 @@ def test_flow_with_radial_weight(grid1k):
     # weighted nonlinearity: same solver path, residual measured with g
     from hardywaves import WeightSpec
 
-    params = Params(N=3, q=3.0, gamma=1.0, weight=WeightSpec.from_exponents(0.0, -2.0))
+    params = Params(N=3, q=3.0, gamma=1.0, weight=WeightSpec(0.0, -2.0))
     sw = normalized_gradient_flow(params, grid1k, tol=1e-8)
     assert strong_residual(RadialOperator(grid1k, params), sw.v.values, sw.lam) < 1e-8
     assert abs(sw.energies.mass_mu - 1.0) < 1e-12

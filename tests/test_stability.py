@@ -96,12 +96,13 @@ def test_stability_requires_subcritical(wave2k):
 
 
 def test_stability_with_equal_weight_specs():
-    # equal but distinct weight specs compare by value instead of raising
-    # on an array comparison, and a weighted wave runs under its own weight
+    # equal but distinct weight specs compare and hash by value, and a
+    # weighted wave runs under its own weight
     grid = build_grid(512, 1e-4, 30.0)
-    pa = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
-    pb = Params(N=3, q=3.0, weight=WeightSpec.from_exponents(0.0, -2.0))
+    pa = Params(N=3, q=3.0, weight=WeightSpec(0.0, -2.0))
+    pb = Params(N=3, q=3.0, weight=WeightSpec(0.0, -2.0))
     assert pa == pb
+    assert hash(pa) == hash(pb)
     wave = normalized_gradient_flow(pa, grid)
     assert wave.params == pb
     run = stability_experiment(wave, 1e-3, T=0.1, dt=1e-3)
