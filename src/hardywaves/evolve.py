@@ -39,7 +39,11 @@ call does.
 The operator is the one record of a run's problem: ``initial_state``
 assembles it, the state carries it, and every step reads it, so a linear
 run factors its fixed Crank-Nicolson matrix once per dt and each linear
-step back-substitutes M v_n.
+step back-substitutes M v_n.  A nonlinear step writes its work arrays into
+the operator's stage workspace (``operators``), made by the first step and
+reused by every later one and across ``propagate`` calls; only each solve's
+result is fresh, and the step forms v_{n+1} = 2 y - v_n in the last one.
+So states that share an operator must not be propagated concurrently.
 
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
@@ -126,7 +130,7 @@ def propagate(
     op = state.op
     if nonlinear:
         op.params.require_subcritical("nonlinear propagation")
-    v = op.check_field(state.v).astype(complex)
+    v = op.check_field(state.v).astype(complex, copy=False)
     history = state.history
     # the contraction ratio grows with dt, so an estimate from another dt is void
     eta = state.eta if state.eta_dt == dt else 1.0
@@ -164,13 +168,18 @@ def _checkpoints(state: EvolutionState, dt: float, chunks, nonlinear=True):
         yield state, charge, energy, charge_drift, abs(energy - state.energy0) / energy_scale
 
 
-def _extrapolate(v: np.ndarray, history: tuple) -> np.ndarray:
-    """Guess for the next field from the current one and up to two before it."""
+def _extrapolate(v: np.ndarray, history: tuple, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the guess for the next field, from the current one and up to two
+    before it, into ``out``; ``scratch`` is overwritten."""
     if len(history) == 2:
-        return 3.0 * v - 3.0 * history[0] + history[1]
-    if len(history) == 1:
-        return 2.0 * v - history[0]
-    return v
+        np.multiply(3.0, v, out=out)
+        np.subtract(out, np.multiply(3.0, history[0], out=scratch), out=out)
+        np.add(out, history[1], out=out)
+    elif len(history) == 1:
+        np.multiply(2.0, v, out=out)
+        np.subtract(out, history[0], out=out)
+    else:
+        out[...] = v
 
 
 def _cn_step(
@@ -185,21 +194,31 @@ def _cn_step(
     """
     q = op.params.q
     tol = _FP_TOL * scale
-    mv = op.mass_diag * v
-    y = 0.5 * (v + _extrapolate(v, history))
+    work = op._stage_work()
+    mv, potential, diff, m_diff = work.mv, work.potential, work.diff, work.m_diff
+    np.multiply(op.mass_diag, v, out=mv)
+    y = work.midpoint
+    _extrapolate(v, history, y, diff)
+    np.multiply(0.5, np.add(v, y, out=y), out=y)
     eta = max(eta_old, _ETA_MIN) ** _ETA_EXP
     err = theta = None
     for _ in range(_FP_MAX):
-        y_new = op.solve_cayley(op.w_sing * np.abs(y) ** (q - 2.0), mv, dt)
-        diff = y_new - y
-        err_old, err = err, float(np.sqrt(4.0 * op.sphere * np.vdot(diff, op.mass_diag * diff).real))
+        np.abs(y, out=potential)
+        potential **= q - 2.0
+        np.multiply(op.w_sing, potential, out=potential)
+        # a fresh array, never the workspace, so it can become v_{n+1}
+        y_new = op.solve_cayley(potential, mv, dt)
+        np.subtract(y_new, y, out=diff)
+        np.multiply(op.mass_diag, diff, out=m_diff)
+        err_old, err = err, float(np.sqrt(4.0 * op.sphere * np.vdot(diff, m_diff).real))
         y = y_new
         if err_old is not None:
             theta = err / err_old
             # without contraction there is no estimate, and only err < tol stops
             eta = theta / (1.0 - theta) if theta < 1.0 else np.inf
         if err < tol or eta * err <= _KAPPA * tol:
-            return 2.0 * y - v, eta
+            np.multiply(2.0, y, out=y)
+            return np.subtract(y, v, out=y), eta
     raise StepError(
         "Crank-Nicolson midpoint iteration did not converge",
         diagnostics={

@@ -22,6 +22,18 @@ A Crank-Nicolson stage is solved for its midpoint against M v, so it never
 forms K v, whose rounding an explicit right-hand side M v - i dt/2 K v
 would carry into the stage.
 
+Beside the Cayley cache (the bands of M + i dt/2 K and their factors for
+one dt), an operator holds a stage workspace: one block of n-point rows
+that the stages with a potential and the nonlinear step around them write
+into, namely M v, the extrapolated midpoint, the potential, the stage
+diagonal and its product scratch, and the update with its M-weighted copy.
+Allocated per step, they would be a dozen 128 KiB temporaries at n = 8192,
+glibc's default mmap threshold, whose pages the kernel would fault in again
+on every step.  The workspace is made on the first stage with a
+potential, so an operator that only serves the ground-state solver or a
+checker never holds it, and no returned array is part of it.  Because of
+the cache and the workspace, an operator is not for concurrent use.
+
 The five tridiagonal LAPACK routines (dptsv, dgtsv, zgtsv, zgttrf, zgttrs)
 come from scipy's compiled f2py module ``scipy/linalg/_flapack``, loaded from
 its file under its own module name.  Importing the ``scipy.linalg`` package
@@ -93,6 +105,7 @@ class RadialOperator:
         base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
         self.w_sing = base if params.weight is None else base * params.weight(grid.nodes)
         self._cayley = None  # (dt, Cayley bands, gttrf factors of M + i dt/2 K)
+        self._work = None  # stage workspace, made by _stage_work
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----
 
@@ -175,10 +188,13 @@ class RadialOperator:
             if info != 0:
                 raise LinAlgError(f"Cayley stage solve failed (zgttrs info={info})")
             return y
-        diag = np.empty(self.grid.n, dtype=complex)
+        work = self._stage_work()
+        diag = work.diag
         diag.real = self.mass_diag
-        np.subtract(k_half, m_half * potential, out=diag.imag)
-        # gtsv overwrites its inputs: only the fresh diagonal is passed as is
+        np.multiply(m_half, potential, out=work.product)
+        np.subtract(k_half, work.product, out=diag.imag)
+        # gtsv overwrites its inputs: only the work diagonal, rebuilt on
+        # every call, is passed as is; y is a copy of mv
         _, _, _, y, info = _ZGTSV(lower, diag, lower, mv, 0, 1, 0, 0)
         if info != 0:
             raise LinAlgError(f"Cayley stage solve failed (zgtsv info={info})")
@@ -196,9 +212,27 @@ class RadialOperator:
             self._cayley = (dt, lower, k_half, 0.5 * dt * self.mass_diag, tuple(factors))
         return self._cayley[1:]
 
+    def _stage_work(self) -> "_StageWork":
+        """The stage workspace, made on the first call and then reused."""
+        if self._work is None:
+            self._work = _StageWork(self.grid.n)
+        return self._work
+
     # -- helpers ---------------------------------------------------------------
 
     def check_field(self, v: Field) -> np.ndarray:
         if v.grid is not self.grid and not np.array_equal(v.grid.nodes, self.grid.nodes):
             raise ShapeError("field lives on a different grid than the operator")
         return v.values
+
+
+class _StageWork:
+    """The stage workspace, rows of one block: ``evolve._cn_step`` writes
+    ``mv``, ``midpoint``, ``potential``, ``diff`` (an update of the midpoint)
+    and ``m_diff`` (M diff), and ``solve_cayley`` writes ``diag`` and
+    ``product``."""
+
+    def __init__(self, n: int):
+        block = np.empty((6, n), dtype=complex)
+        self.mv, self.midpoint, self.diff, self.m_diff, self.diag = block[:5]
+        self.potential, self.product = block[5].view(float).reshape(2, n)

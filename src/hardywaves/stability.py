@@ -67,8 +67,8 @@ def orbit_distance(v: Field, sw: StandingWave) -> float:
     catastrophic cancellation of the expanded formula near the orbit.
     """
     op = sw.op
-    a = op.check_field(v).astype(complex)
-    b = sw.v.values.astype(complex)
+    a = op.check_field(v)
+    b = sw.v.values
     inner = op.h_inner(a, b)
     phase = np.exp(1j * np.angle(inner)) if inner != 0.0 else 1.0
     return float(np.sqrt(op.h_norm_sq(a - phase * b)))

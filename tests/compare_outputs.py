@@ -34,13 +34,15 @@ for name, argv in json.loads(sys.argv[1]):
 """
 
 
-# check branches and verdicts the workloads leave out: the log-weight ihs
-# kind, and a weight that fails (omega_inf above the threshold -3/2)
+# branches and verdicts the workloads leave out: the log-weight ihs kind, a
+# weight that fails (omega_inf above the threshold -3/2), and a nonlinear
+# evolve whose potential power q - 2 is not 1
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
     ("check-weight-failing", ["check", "weight", "--omega-zero", "0", "--omega-inf", "0"]),
     ("check-weight-integrable", ["check", "weight", "--omega-zero", "-1", "--omega-inf", "-4"]),
+    ("evolve-q2.4", ["evolve", "--N", "5", "--q", "2.4", "--n", "2048", "--steps", "200"]),
 ]
 
 

@@ -3,7 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hardywaves import Field, ParameterError, Params, StepError, build_grid, orbit_distance
+from hardywaves import (
+    Field,
+    ParameterError,
+    Params,
+    StepError,
+    build_grid,
+    normalized_gradient_flow,
+    orbit_distance,
+)
+from hardywaves import operators
+from hardywaves.checks import check_ckn
 from hardywaves.evolve import _FP_MAX, _FP_TOL, initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import perturbed_field
@@ -194,6 +204,32 @@ def test_unperturbed_wave_takes_one_solve_per_step(wave8k, params33, monkeypatch
     calls = _count_solves(monkeypatch)
     propagate(initial_state(perturbed_field(wave8k, 0.0, "radial-bump"), params33), 2e-3, 300)
     assert len(calls) <= 310
+
+
+def test_stage_workspace_is_made_once_per_operator(params33, monkeypatch):
+    # the nonlinear step writes into one workspace on the operator, made on
+    # its first stage with a potential and reused by every later propagate
+    # call; an operator that only solved for a ground state or sampled a
+    # checker never makes one, and no returned field shares its memory
+    made = []
+
+    class Recorded(operators._StageWork):
+        def __init__(self, n):
+            made.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(operators, "_StageWork", Recorded)
+    grid = build_grid(512, 1e-4, 30.0)
+    wave = normalized_gradient_flow(params33, grid, tol=1e-6)
+    check_ckn(5, 0, params33, grid)
+    assert made == [] and wave.op._work is None
+    state = initial_state(perturbed_field(wave, 1e-2, "radial-bump"), params33)
+    first = propagate(state, 1e-3, 3)
+    work = state.op._work
+    second = propagate(first, 1e-3, 3)
+    assert made == [grid.n] and second.op._work is work
+    for values in (first.v.values, *first.history, second.v.values, *second.history):
+        assert not any(np.shares_memory(values, arr) for arr in vars(work).values())
 
 
 def _midpoint_fixed_point(op, v, v_next, dt, iterations=6):

@@ -64,11 +64,16 @@ def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params
         mv = op.mass_diag * v
         kept = mv.copy()
         if shared_mv:
-            # an earlier stage on the same M v must leave it as it was
-            op.solve_cayley(10.0 * rng.standard_normal(n), mv, dt)
+            # an earlier stage on the same M v must leave it as it was, and
+            # its result, which is fresh and never the operator's stage
+            # workspace, must survive the later stage
+            earlier = op.solve_cayley(10.0 * rng.standard_normal(n), mv, dt)
+            kept_earlier = earlier.copy()
         x = 2.0 * op.solve_cayley(potential if with_potential else None, mv, dt) - v
         ref = cayley_reference(op, potential, v, dt)
         assert np.array_equal(mv, kept)
+        if shared_mv:
+            assert np.array_equal(earlier, kept_earlier)
         assert np.sqrt(op.mass(x - ref)) <= 2e-15 * np.sqrt(op.mass(ref))
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
