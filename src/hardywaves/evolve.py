@@ -3,47 +3,49 @@ inverse-square potential is absorbed:
 
     i v_t + (1/r)(r v')' + r^{-(q-2)(N-2)/2} g |v|^{q-2} v = 0 .
 
-The scheme is Crank-Nicolson with a fixed-point iteration on the midpoint
-potential.  Each step is a Cayley transform of a real symmetric pencil,
-hence exactly unitary in the discrete weighted inner product; charge is
-conserved to solver roundoff and energy to O(dt^2) without secular growth.
-The stage is solved in midpoint form: the iterate is the midpoint
-y = (v_n + v_{n+1}) / 2, each solve's right-hand side is M v_n, built once
-per step, and v_{n+1} = 2 y - v_n, so no K v_n term is formed.
+The scheme is Crank-Nicolson in midpoint form: y = (v_n + v_{n+1}) / 2
+solves (M + i dt/2 (K - M P(y))) y = M v_n, P(y) = r^{-(q-2)(N-2)/2} g |y|^{q-2},
+and v_{n+1} = 2 y - v_n, so no K v_n term is formed.  At that fixed point
+a step is a Cayley transform of a real symmetric pencil, hence unitary in
+the discrete weighted inner product: charge is conserved to the
+fixed-point tolerance and energy to O(dt^2) without secular growth.
 (Strang splitting is not offered: at the singular weight its energy blows
 up, from 1.25 to 2e5 by t = 0.5 for a Gaussian on the default grid.)
 
-The midpoint iteration of a Crank-Nicolson step starts from the
-extrapolation 3 v_n - 3 v_{n-1} + v_{n-2} of the last three fields (the
-linear 2 v_n - v_{n-1} after one step, v_n on the first).  It stops when
-the update falls below the tolerance, or earlier on the error estimate of
-the simplified-Newton stopping rule (Hairer & Wanner, Solving Ordinary
-Differential Equations II, IV.8): with the contraction ratio
-theta_k = err_k / err_{k-1} of successive updates and
-eta_k = theta_k / (1 - theta_k), the distance of the iterate from the
-fixed point is about eta_k err_k, and the iteration stops once that is
-below a tenth of the tolerance.  The first update of a step has no ratio
-yet and uses eta_0 = max(eta_old, 2.2e-16)^0.8, where eta_old is the
-last eta of the previous step (1 before any, and after a change of dt):
-a step that stops after one solve passes eta_0 on, so an estimate that is
-not measured again drifts back toward 1 until the iteration re-measures
-it.  On a perturbed standing wave this takes one Cayley solve per step
-at delta = 0 (301 for 300 steps at dt = 2e-3; the iteration measures
-eta only on the first step) and two at delta = 1e-3 and 1e-2, where the
-plain test needs three.  An update of y is half the update of v_{n+1},
-so the tolerance applies to twice the M-norm of the update of y.  The
-last two fields and eta_old travel with the state, so chained
-``propagate`` calls iterate across chunk boundaries exactly as one long
-call does.
+The fixed point is found by simplified Newton (Hairer & Wanner, Solving
+Ordinary Differential Equations II, IV.8): A_ref = M + i dt/2 (K - M P_ref)
+is factored once, and each iterate back-substitutes
+y_{k+1} = A_ref^{-1} (M v_n + i dt/2 M (P(y_k) - P_ref) y_k).  P_ref is P of
+the field at the run's first nonlinear step at that dt (0 for a linear run,
+where one solve is exact), so on a perturbed standing wave P(y) - P_ref is
+of the order of the perturbation and the iteration contracts as fast as one
+with a fresh matrix per solve.  It starts from the extrapolation
+3 v_n - 3 v_{n-1} + v_{n-2} of the last three fields (the linear
+2 v_n - v_{n-1} after one step, v_n on the first).  It stops when the
+update falls below the tolerance, or earlier on the simplified-Newton
+error estimate: with the contraction ratio theta_k = err_k / err_{k-1} of
+successive updates and eta_k = theta_k / (1 - theta_k), the distance of
+the iterate from the fixed point is about eta_k err_k, and the iteration
+stops once that is below a tenth of the tolerance.  The first update of a
+step has no ratio yet and uses eta_0 = max(eta_old, 2.2e-16)^0.8, where
+eta_old is the last eta of the previous step (1 before any, and after a
+change of dt): a step that stops after one solve passes eta_0 on, so an
+estimate that is not measured again drifts back toward 1 until the
+iteration re-measures it.  On a perturbed standing wave this takes one
+Cayley solve per step at delta = 0 (301 for 300 steps at dt = 2e-3; the
+iteration measures eta only on the first step) and two at delta = 1e-3
+and 1e-2, where the plain test needs three.  An update of y is half the
+update of v_{n+1}, so the tolerance applies to twice the M-norm of the
+update of y.  The last two fields, eta_old and the stage (the factors of
+A_ref and P_ref) travel with the state, so chained ``propagate`` calls
+iterate across chunk boundaries exactly as one long call does; a change
+of dt or of ``nonlinear`` factors anew.
 
-The operator is the one record of a run's problem: ``initial_state``
-assembles it, the state carries it, and every step reads it, so a linear
-run factors its fixed Crank-Nicolson matrix once per dt and each linear
-step back-substitutes M v_n.  A nonlinear step writes its work arrays into
-the operator's stage workspace (``operators``), made by the first step and
-reused by every later one and across ``propagate`` calls; only each solve's
-result is fresh, and the step forms v_{n+1} = 2 y - v_n in the last one.
-So states that share an operator must not be propagated concurrently.
+The state carries its problem's operator, which ``initial_state``
+assembles and every step reads.  A nonlinear step writes its work arrays
+into the operator's stage workspace (``operators``); only each solve's
+result is fresh, and it becomes v_{n+1}.  So states that share an operator
+must not be propagated concurrently.
 
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
@@ -77,9 +79,10 @@ class EvolutionState:
 
     ``op`` is the operator of the state's problem, which every step uses.
     ``history`` holds the field values of the last two steps, newest first,
-    and ``eta`` the midpoint iteration's last contraction estimate
-    theta / (1 - theta), made at step size ``eta_dt``; they only seed the
-    next step's iteration and are never written out.
+    ``stage`` (dt, nonlinear, factors of A_ref, P_ref) of the last steps,
+    and ``eta`` their midpoint iteration's last contraction estimate
+    theta / (1 - theta); they only seed the next steps and are never
+    written out.
     """
 
     v: Field
@@ -89,7 +92,7 @@ class EvolutionState:
     op: RadialOperator = field(repr=False)
     history: tuple = field(default=(), repr=False)
     eta: float = field(default=1.0, repr=False)
-    eta_dt: float = field(default=0.0, repr=False)
+    stage: tuple = field(default=(), repr=False)
 
 
 def initial_state(v: Field, params: Params) -> EvolutionState:
@@ -120,8 +123,8 @@ def propagate(
 
     ``nonlinear=False`` disables the q-term, leaving the free 2D radial
     propagator (useful against the closed-form dispersing Gaussian).  The
-    returned state carries the same operator, so chaining calls keeps its
-    factored linear stage.
+    returned state carries the same operator and the factored stage, so
+    chaining calls at one dt factors once.
     """
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"time step must be finite and positive, got {dt}")
@@ -132,15 +135,19 @@ def propagate(
         op.params.require_subcritical("nonlinear propagation")
     v = op.check_field(state.v).astype(complex, copy=False)
     history = state.history
+    stage = state.stage
     # the contraction ratio grows with dt, so an estimate from another dt is void
-    eta = state.eta if state.eta_dt == dt else 1.0
+    eta = state.eta if stage[:1] == (dt,) else 1.0
+    if steps and stage[:2] != (dt, nonlinear):
+        p_ref = op.w_sing * np.abs(v) ** (op.params.q - 2.0) if nonlinear else None
+        stage = (dt, nonlinear, op.cayley_factors(dt, p_ref), p_ref)
     # charge is conserved to roundoff, so the baseline sets the tolerance scale
     scale = max(1.0, np.sqrt(state.charge0))
     for k in range(1, steps + 1):
         if nonlinear:
-            v_new, eta = _cn_step(op, v, dt, history, eta, scale)
+            v_new, eta = _cn_step(op, v, stage, history, eta, scale)
         else:
-            v_new = 2.0 * op.solve_cayley(None, op.mass_diag * v, dt) - v
+            v_new = 2.0 * op.solve_cayley(stage[2], op.mass_diag * v) - v
         history = (v, *history[:1])
         v = v_new
         if not np.all(np.isfinite(v)):
@@ -151,7 +158,7 @@ def propagate(
         time=state.time + dt * steps,
         history=history,
         eta=eta,
-        eta_dt=dt,
+        stage=stage,
     )
 
 
@@ -183,7 +190,7 @@ def _extrapolate(v: np.ndarray, history: tuple, out: np.ndarray, scratch: np.nda
 
 
 def _cn_step(
-    op: RadialOperator, v: np.ndarray, dt: float, history: tuple, eta_old: float, scale: float
+    op: RadialOperator, v: np.ndarray, stage: tuple, history: tuple, eta_old: float, scale: float
 ) -> tuple[np.ndarray, float]:
     """One nonlinear Crank-Nicolson step.
 
@@ -192,10 +199,11 @@ def _cn_step(
     that a run of one-solve steps drifts back toward 1 and measures the
     contraction again.
     """
+    dt, _, factors, p_ref = stage
     q = op.params.q
     tol = _FP_TOL * scale
     work = op._stage_work()
-    mv, potential, diff, m_diff = work.mv, work.potential, work.diff, work.m_diff
+    mv, rhs, potential, diff, m_diff = work.mv, work.rhs, work.potential, work.diff, work.m_diff
     np.multiply(op.mass_diag, v, out=mv)
     y = work.midpoint
     _extrapolate(v, history, y, diff)
@@ -203,11 +211,18 @@ def _cn_step(
     eta = max(eta_old, _ETA_MIN) ** _ETA_EXP
     err = theta = None
     for _ in range(_FP_MAX):
-        np.abs(y, out=potential)
-        potential **= q - 2.0
-        np.multiply(op.w_sing, potential, out=potential)
+        # M v + i dt/2 M (P(y) - P_ref) y; a diverging y overflows, as StepError reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(y, out=potential)
+            potential **= q - 2.0
+            np.multiply(op.w_sing, potential, out=potential)
+            np.subtract(potential, p_ref, out=potential)
+            np.multiply(op.mass_diag, potential, out=potential)
+            np.multiply(potential, y, out=rhs)
+            np.multiply(0.5j * dt, rhs, out=rhs)
+            np.add(mv, rhs, out=rhs)
         # a fresh array, never the workspace, so it can become v_{n+1}
-        y_new = op.solve_cayley(potential, mv, dt)
+        y_new = op.solve_cayley(factors, rhs)
         np.subtract(y_new, y, out=diff)
         np.multiply(op.mass_diag, diff, out=m_diff)
         err_old, err = err, float(np.sqrt(4.0 * op.sphere * np.vdot(diff, m_diff).real))

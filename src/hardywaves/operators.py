@@ -20,22 +20,23 @@ used downstream.
 
 A Crank-Nicolson stage is solved for its midpoint against M v, so it never
 forms K v, whose rounding an explicit right-hand side M v - i dt/2 K v
-would carry into the stage.
+would carry into the stage.  ``cayley_factors`` factors the stage matrix
+M + i dt/2 (K - M diag(potential)) once, and ``solve_cayley``
+back-substitutes a right-hand side through those factors; the caller keeps
+the factors (``evolve`` keeps them on the evolution state).
 
-Beside the Cayley cache (the bands of M + i dt/2 K and their factors for
-one dt), an operator holds a stage workspace: one block of n-point rows
-that the stages with a potential and the nonlinear step around them write
-into, namely M v, the extrapolated midpoint, the potential, the stage
-diagonal and its product scratch, and the update with its M-weighted copy.
+An operator holds a stage workspace: one block of n-point rows that the
+nonlinear step writes into, namely M v, the extrapolated midpoint, the
+potential, the right-hand side, and the update with its M-weighted copy.
 Allocated per step, they would be a dozen 128 KiB temporaries at n = 8192,
 glibc's default mmap threshold, whose pages the kernel would fault in again
-on every step.  The workspace is made on the first stage with a
-potential, so an operator that only serves the ground-state solver or a
-checker never holds it, and no returned array is part of it.  Because of
-the cache and the workspace, an operator is not for concurrent use.
+on every step.  The workspace is made on the first nonlinear step, so an
+operator that only serves the ground-state solver or a checker never holds
+it, and no returned array is part of it.  Because of the workspace, an
+operator is not for concurrent use.
 
-The five tridiagonal LAPACK routines (dptsv, dgtsv, zgtsv, zgttrf, zgttrs)
-come from scipy's compiled f2py module ``scipy/linalg/_flapack``, loaded from
+The four tridiagonal LAPACK routines (dptsv, dgtsv, zgttrf, zgttrs) come
+from scipy's compiled f2py module ``scipy/linalg/_flapack``, loaded from
 its file under its own module name.  Importing the ``scipy.linalg`` package
 instead would take half of a short process's start-up, for routines that are
 the very same objects: a later ``import scipy.linalg`` shares the module.
@@ -74,11 +75,11 @@ def _load_flapack():
 
 
 # tridiagonal LAPACK routines, called directly: ptsv for the SPD solve, gtsv
-# for Newton's indefinite solve and the Cayley stage with a potential, and
-# gttrf/gttrs to factor the fixed Cayley matrix once
+# for Newton's indefinite solve, and gttrf/gttrs to factor the Cayley
+# matrix once and back-substitute through it
 _flapack = _load_flapack()
 _DPTSV, _DGTSV = _flapack.dptsv, _flapack.dgtsv
-_ZGTSV, _ZGTTRF, _ZGTTRS = _flapack.zgtsv, _flapack.zgttrf, _flapack.zgttrs
+_ZGTTRF, _ZGTTRS = _flapack.zgttrf, _flapack.zgttrs
 
 
 def dirichlet_form(stiffness: float, v: np.ndarray) -> float:
@@ -104,7 +105,6 @@ class RadialOperator:
         # and locally integrable against r dr for q below the critical exponent
         base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
         self.w_sing = base if params.weight is None else base * params.weight(grid.nodes)
-        self._cayley = None  # (dt, Cayley bands, gttrf factors of M + i dt/2 K)
         self._work = None  # stage workspace, made by _stage_work
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----
@@ -169,48 +169,31 @@ class RadialOperator:
             raise LinAlgError(f"tridiagonal solve failed (dgtsv info={info})")
         return x
 
-    def solve_cayley(self, potential: np.ndarray | None, mv: np.ndarray, dt: float) -> np.ndarray:
-        """One Crank-Nicolson stage in midpoint form: the midpoint y of
-        (M + i dt/2 B) v+ = (M - i dt/2 B) v, B = K - M diag(potential).
-
-        The two matrices sum to 2M, so the stage is the solve
-        (M + i dt/2 B) y = M v, with ``mv`` = M v, and v+ = 2 y - v.  The
-        potential must be real: then B is real symmetric and the stage is
-        exactly unitary in the discrete r dr inner product up to the
-        linear-solver roundoff.  ``mv`` is left unchanged, so stages that
-        share v share it.  ``potential=None`` is the stage without
-        potential: the fixed matrix M + i dt/2 K is factored once per dt and
-        kept on the operator, so a call only back-substitutes.
-        """
-        lower, k_half, m_half, factors = self._cayley_bands(dt)
-        if potential is None:
-            y, info = _ZGTTRS(*factors, mv)
-            if info != 0:
-                raise LinAlgError(f"Cayley stage solve failed (zgttrs info={info})")
-            return y
-        work = self._stage_work()
-        diag = work.diag
-        diag.real = self.mass_diag
-        np.multiply(m_half, potential, out=work.product)
-        np.subtract(k_half, work.product, out=diag.imag)
-        # gtsv overwrites its inputs: only the work diagonal, rebuilt on
-        # every call, is passed as is; y is a copy of mv
-        _, _, _, y, info = _ZGTSV(lower, diag, lower, mv, 0, 1, 0, 0)
+    def cayley_factors(self, dt: float, potential: np.ndarray | None = None) -> tuple:
+        """gttrf factors of the stage matrix M + i dt/2 B for ``solve_cayley``,
+        B = K - M diag(potential), or K for ``potential=None``.  A real
+        potential makes B real symmetric, and the stage
+        (M + i dt/2 B) v+ = (M - i dt/2 B) v exactly unitary in the discrete
+        r dr inner product up to the solver roundoff."""
+        # dt/2 K - dt/2 M P, in this order: on the orbit, rounding it as
+        # dt/2 (K - M P) triples the first midpoint update at n = 8192
+        half_b = 0.5 * dt * self.k_diag
+        if potential is not None:
+            half_b -= 0.5 * dt * self.mass_diag * potential
+        lower = 0.5j * dt * self.k_lower
+        *factors, info = _ZGTTRF(lower, self.mass_diag + 1j * half_b, lower)
         if info != 0:
-            raise LinAlgError(f"Cayley stage solve failed (zgtsv info={info})")
-        return y
+            raise LinAlgError(f"Cayley matrix factorization failed (zgttrf info={info})")
+        return tuple(factors)
 
-    def _cayley_bands(self, dt: float) -> tuple:
-        """i dt/2 k_lower, dt/2 k_diag, dt/2 mass_diag and the gttrf factors
-        of M + i dt/2 K, computed on the first call per dt."""
-        if self._cayley is None or self._cayley[0] != dt:
-            lower = 0.5j * dt * self.k_lower
-            k_half = 0.5 * dt * self.k_diag
-            *factors, info = _ZGTTRF(lower, self.mass_diag + 1j * k_half, lower)
-            if info != 0:
-                raise LinAlgError(f"Cayley matrix factorization failed (zgttrf info={info})")
-            self._cayley = (dt, lower, k_half, 0.5 * dt * self.mass_diag, tuple(factors))
-        return self._cayley[1:]
+    def solve_cayley(self, factors: tuple, rhs: np.ndarray) -> np.ndarray:
+        """Solve (M + i dt/2 B) y = rhs through its ``cayley_factors``, into a
+        fresh array.  The two stage matrices sum to 2M, so with ``rhs`` = M v
+        the solution is the stage's midpoint y and v+ = 2 y - v."""
+        y, info = _ZGTTRS(*factors, rhs)
+        if info != 0:
+            raise LinAlgError(f"Cayley stage solve failed (zgttrs info={info})")
+        return y
 
     def _stage_work(self) -> "_StageWork":
         """The stage workspace, made on the first call and then reused."""
@@ -227,12 +210,12 @@ class RadialOperator:
 
 
 class _StageWork:
-    """The stage workspace, rows of one block: ``evolve._cn_step`` writes
-    ``mv``, ``midpoint``, ``potential``, ``diff`` (an update of the midpoint)
-    and ``m_diff`` (M diff), and ``solve_cayley`` writes ``diag`` and
-    ``product``."""
+    """The stage workspace, rows of one block that ``evolve._cn_step``
+    writes: ``mv``, ``midpoint``, ``diff`` (an update of the midpoint),
+    ``m_diff`` (M diff), ``rhs`` and, real, ``potential``."""
 
     def __init__(self, n: int):
-        block = np.empty((6, n), dtype=complex)
-        self.mv, self.midpoint, self.diff, self.m_diff, self.diag = block[:5]
-        self.potential, self.product = block[5].view(float).reshape(2, n)
+        block = np.empty(11 * n)
+        self.mv, self.midpoint, self.diff, self.m_diff, self.rhs = (
+            block[:10 * n].view(complex).reshape(5, n))
+        self.potential = block[10 * n:]

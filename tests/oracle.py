@@ -1,8 +1,10 @@
-"""Test-side reference minimiser and strong residual.
+"""Test-side reference minimiser, strong residual and Cayley stage.
 
 ``oracle_minimize`` is an independent check on the ground-state flow: it
 shares no code with ``hardywaves.groundstate`` and reads the discrete
 problem only through the operator's public forms and solves.
+``cayley_reference`` solves one Crank-Nicolson stage in extended precision
+from the operator's bands alone, without its LAPACK solves.
 """
 
 from dataclasses import dataclass
@@ -114,3 +116,29 @@ def oracle_minimize(
 
     j_best, rn_best, v_best = best
     return OracleResult(v=v_best, J=j_best, mass=op.mass(v_best), residual=rn_best)
+
+
+def cayley_reference(op, potential, v, dt):
+    """v+ of the exact stage (M + i dt/2 B) v+ = (M - i dt/2 B) v with
+    B = K - M diag(potential), K v from first differences, by a Thomas
+    solve in extended precision; M > 0 keeps it pivot-free."""
+    ld = np.longdouble
+    half = np.clongdouble(0.5j) * ld(dt)
+    m, p, x = op.mass_diag.astype(ld), potential.astype(ld), v.astype(np.clongdouble)
+    flux = ld(op.stiffness) * np.diff(x, append=0.0)  # zero ghost beyond r_max
+    kv = -np.diff(flux, prepend=0.0)  # reflecting ghost at the origin end
+    rhs = m * x - half * (kv - m * p * x)
+    off = half * op.k_lower.astype(ld)
+    diag = m + half * (op.k_diag.astype(ld) - m * p)
+    n = op.grid.n
+    c = np.empty(n - 1, dtype=np.clongdouble)
+    for i in range(n):
+        if i:
+            diag[i] -= off[i - 1] * c[i - 1]
+            rhs[i] -= off[i - 1] * rhs[i - 1]
+        if i < n - 1:
+            c[i] = off[i] / diag[i]
+        rhs[i] /= diag[i]
+    for i in range(n - 2, -1, -1):
+        rhs[i] -= c[i] * rhs[i + 1]
+    return rhs

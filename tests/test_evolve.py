@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from hardywaves import (
     Field,
@@ -129,7 +130,10 @@ def test_weighted_nonlinearity_conservation(grid2k):
     assert abs(energy - state.energy0) / max(abs(state.energy0), 1e-12) < 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fixed_point_failure_raises_step_error(grid2k, params33):
+    # the iterate overflows at this dt; that is reported by the StepError,
+    # not by numpy warnings while the right-hand side is formed
     big = Field(values=(20.0 * np.exp(-grid2k.nodes**2 / 2.0)).astype(complex), grid=grid2k)
     state = initial_state(big, params33)
     with pytest.raises(StepError) as err:
@@ -208,8 +212,8 @@ def test_unperturbed_wave_takes_one_solve_per_step(wave8k, params33, monkeypatch
 
 def test_stage_workspace_is_made_once_per_operator(params33, monkeypatch):
     # the nonlinear step writes into one workspace on the operator, made on
-    # its first stage with a potential and reused by every later propagate
-    # call; an operator that only solved for a ground state or sampled a
+    # its first nonlinear step and reused by every later propagate call; an
+    # operator that only solved for a ground state or sampled a
     # checker never makes one, and no returned field shares its memory
     made = []
 
@@ -232,13 +236,47 @@ def test_stage_workspace_is_made_once_per_operator(params33, monkeypatch):
         assert not any(np.shares_memory(values, arr) for arr in vars(work).values())
 
 
+def test_run_factors_its_stage_once(wave2k, params33, monkeypatch):
+    # a run factors its Crank-Nicolson matrix at its first step, and every
+    # midpoint iterate back-substitutes through the factors; they ride on
+    # the state, so chained calls keep them, and a change of dt or of
+    # nonlinear factors anew
+    lapack = {"_ZGTTRF": [], "_ZGTTRS": []}
+    for name, calls in lapack.items():
+        def counted(*args, routine=getattr(operators, name), calls=calls):
+            calls.append(1)
+            return routine(*args)
+
+        monkeypatch.setattr(operators, name, counted)
+    factored, substituted = lapack.values()
+    solves = _count_solves(monkeypatch)
+    state = _perturbed_wave(wave2k, params33, 1e-2)
+    for _ in range(100):
+        state = propagate(state, 1e-3, 3)
+    assert len(factored) == 1
+    assert len(substituted) == len(solves) > 300
+    state = propagate(propagate(state, 2e-3, 3), 2e-3, 3)
+    assert len(factored) == 2
+    state = propagate(propagate(state, 2e-3, 3, nonlinear=False), 2e-3, 3, nonlinear=False)
+    assert len(factored) == 3
+    propagate(state, 2e-3, 3)
+    assert len(factored) == 4
+    assert len(substituted) == len(solves)
+
+
 def _midpoint_fixed_point(op, v, v_next, dt, iterations=6):
     """Continue the midpoint iteration of the step v -> v_next well past
-    convergence (each update contracts by about 1e-5 here)."""
+    convergence (each update contracts by about 1e-5 here), solving each
+    stage (M + i dt/2 (K - M P(y))) y = M v afresh with scipy's banded
+    solver rather than the operator's Cayley solves."""
     mv = op.mass_diag * v
     y = 0.5 * (v + v_next)
+    ab = np.zeros((3, op.grid.n), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = 0.5j * dt * op.k_lower
     for _ in range(iterations):
-        y = op.solve_cayley(op.w_sing * np.abs(y) ** (op.params.q - 2.0), mv, dt)
+        potential = op.w_sing * np.abs(y) ** (op.params.q - 2.0)
+        ab[1] = op.mass_diag + 0.5j * dt * (op.k_diag - op.mass_diag * potential)
+        y = solve_banded((1, 1), ab, mv)
     return 2.0 * y - v
 
 

@@ -8,32 +8,7 @@ from scipy.linalg import get_lapack_funcs, solveh_banded
 
 from hardywaves import build_grid, operators
 from hardywaves.operators import RadialOperator
-
-
-def cayley_reference(op, potential, v, dt):
-    """v+ of the exact stage (M + i dt/2 B) v+ = (M - i dt/2 B) v with
-    B = K - M diag(potential), K v from first differences, by a Thomas
-    solve in extended precision; M > 0 keeps it pivot-free."""
-    ld = np.longdouble
-    half = np.clongdouble(0.5j) * ld(dt)
-    m, p, x = op.mass_diag.astype(ld), potential.astype(ld), v.astype(np.clongdouble)
-    flux = ld(op.stiffness) * np.diff(x, append=0.0)  # zero ghost beyond r_max
-    kv = -np.diff(flux, prepend=0.0)  # reflecting ghost at the origin end
-    rhs = m * x - half * (kv - m * p * x)
-    off = half * op.k_lower.astype(ld)
-    diag = m + half * (op.k_diag.astype(ld) - m * p)
-    n = op.grid.n
-    c = np.empty(n - 1, dtype=np.clongdouble)
-    for i in range(n):
-        if i:
-            diag[i] -= off[i - 1] * c[i - 1]
-            rhs[i] -= off[i - 1] * rhs[i - 1]
-        if i < n - 1:
-            c[i] = off[i] / diag[i]
-        rhs[i] /= diag[i]
-    for i in range(n - 2, -1, -1):
-        rhs[i] -= c[i] * rhs[i + 1]
-    return rhs
+from oracle import cayley_reference
 
 
 # ids keep the names of the log-grid cases from when the grid kind was a
@@ -45,15 +20,14 @@ def cayley_reference(op, potential, v, dt):
     pytest.param(False, False, id="log-no-potential"),
 ])
 def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params33):
-    # solve_cayley returns the midpoint y of the stage, v+ = 2 y - v, to the
-    # rounding of one complex solve.  On white noise over 240 seeds it is at
-    # most 1.2e-15 off in the M-norm and 9.6e-13 of max|v+| at any node,
-    # where an explicit right-hand side M v - i dt/2 K v is up to 1.7e-14 and
-    # 1.5e-11 off (median 7e-16 and 2.1e-12).  The M-norm weights r^2 span
-    # 15 decades, so the max-norm bound is what holds the nodes near the
-    # origin.  Without a potential solve_cayley back-substitutes with cached
-    # factors of the fixed matrix; alternating dt checks that they and the
-    # cached bands follow dt.  The potential is real, as B must be real
+    # solve_cayley through cayley_factors returns the midpoint y of the
+    # stage, v+ = 2 y - v, to the rounding of one complex solve.  On white
+    # noise over 240 seeds it is at most 1.2e-15 off in the M-norm and
+    # 9.6e-13 of max|v+| at any node, where an explicit right-hand side
+    # M v - i dt/2 K v is up to 1.7e-14 and 1.5e-11 off (median 7e-16 and
+    # 2.1e-12).  The M-norm weights r^2 span 15 decades, so the max-norm
+    # bound is what holds the nodes near the origin.  Alternating dt checks
+    # that the factors follow dt.  The potential is real, as B must be real
     # symmetric.
     op = RadialOperator(build_grid(2048, 1e-6, 50.0), params33)
     n = op.grid.n
@@ -65,11 +39,11 @@ def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params
         kept = mv.copy()
         if shared_mv:
             # an earlier stage on the same M v must leave it as it was, and
-            # its result, which is fresh and never the operator's stage
-            # workspace, must survive the later stage
-            earlier = op.solve_cayley(10.0 * rng.standard_normal(n), mv, dt)
+            # its result, which is fresh, must survive the later stage
+            earlier = op.solve_cayley(op.cayley_factors(dt, 10.0 * rng.standard_normal(n)), mv)
             kept_earlier = earlier.copy()
-        x = 2.0 * op.solve_cayley(potential if with_potential else None, mv, dt) - v
+        factors = op.cayley_factors(dt, potential if with_potential else None)
+        x = 2.0 * op.solve_cayley(factors, mv) - v
         ref = cayley_reference(op, potential, v, dt)
         assert np.array_equal(mv, kept)
         if shared_mv:
@@ -173,9 +147,9 @@ def _tridiagonal_systems(rng, n, nrhs, singular):
 def _lapack_outcomes(routines, systems):
     """Each routine's outputs, or the type and message of what it raised:
     scipy's wrappers reject n = 1, and n = 2 for gttrf and gttrs."""
-    ptsv, dgtsv, zgtsv, zgttrf, zgttrs = routines
+    ptsv, dgtsv, zgttrf, zgttrs = routines
     spd, real, cplx, rhs, rhs_c = systems
-    calls = [lambda: ptsv(*spd, rhs), lambda: dgtsv(*real, rhs), lambda: zgtsv(*cplx, rhs_c),
+    calls = [lambda: ptsv(*spd, rhs), lambda: dgtsv(*real, rhs),
              lambda: zgttrf(*cplx), lambda: zgttrs(*zgttrf(*cplx)[:-1], rhs_c)]
     outcomes = []
     for call in calls:
@@ -191,13 +165,12 @@ def _lapack_outcomes(routines, systems):
     (17, 1, True), (17, 2, True),
 ])
 def test_loaded_lapack_matches_scipy_linalg_bit_for_bit(n, nrhs, singular):
-    # the five routines loaded from scipy's compiled module give, output by
+    # the four routines loaded from scipy's compiled module give, output by
     # output, the bits that scipy.linalg's own lookup gives; two right-hand
     # sides are the Newton polish's bordered step
-    ours = (operators._DPTSV, operators._DGTSV, operators._ZGTSV, operators._ZGTTRF,
-            operators._ZGTTRS)
+    ours = (operators._DPTSV, operators._DGTSV, operators._ZGTTRF, operators._ZGTTRS)
     theirs = (*get_lapack_funcs(("ptsv", "gtsv"), dtype=np.float64),
-              *get_lapack_funcs(("gtsv", "gttrf", "gttrs"), dtype=np.complex128))
+              *get_lapack_funcs(("gttrf", "gttrs"), dtype=np.complex128))
     systems = _tridiagonal_systems(np.random.default_rng([n, nrhs, singular]), n, nrhs, singular)
     got, want = _lapack_outcomes(ours, systems), _lapack_outcomes(theirs, systems)
     for a_out, b_out in zip(got, want):
@@ -210,7 +183,7 @@ def test_loaded_lapack_matches_scipy_linalg_bit_for_bit(n, nrhs, singular):
             assert np.array_equal(np.ascontiguousarray(a).view(np.uint8),
                                   np.ascontiguousarray(b).view(np.uint8))
     if n > 2:
-        infos = [out[-1] for out in got[:4]]  # ptsv, dgtsv, zgtsv, zgttrf
+        infos = [out[-1] for out in got[:3]]  # ptsv, dgtsv, zgttrf
         assert all(infos) if singular else not any(infos)
 
 
