@@ -141,7 +141,7 @@ def propagate(
     if steps and stage[:2] != (dt, nonlinear):
         p_ref = op.w_sing * np.abs(v) ** (op.params.q - 2.0) if nonlinear else None
         stage = (dt, nonlinear, op.cayley_factors(dt, p_ref), p_ref)
-    # charge is conserved to roundoff, so the baseline sets the tolerance scale
+    # charge is conserved, so its baseline sets the scale of the fixed-point tolerance
     scale = max(1.0, np.sqrt(state.charge0))
     for k in range(1, steps + 1):
         if nonlinear:
@@ -211,7 +211,7 @@ def _cn_step(
     eta = max(eta_old, _ETA_MIN) ** _ETA_EXP
     err = theta = None
     for _ in range(_FP_MAX):
-        # M v + i dt/2 M (P(y) - P_ref) y; a diverging y overflows, as StepError reports
+        # M v + i dt/2 M (P(y) - P_ref) y; a diverging y overflows here, which StepError reports
         with np.errstate(over="ignore", invalid="ignore"):
             np.abs(y, out=potential)
             potential **= q - 2.0

@@ -71,8 +71,9 @@ def test_invariants_fresh_state_equals_baselines(grid2k, params33):
 
 @pytest.mark.parametrize("scheme, energy_tol", [("crank-nicolson", 1e-6)])
 def test_conservation_along_nonlinear_run(wave2k, params33, scheme, energy_tol):
-    # the step is a Cayley transform, so charge is conserved to roundoff;
-    # the midpoint rule keeps energy to O(dt^2)
+    # at its fixed point the step is a Cayley transform, so charge is
+    # conserved to the fixed-point tolerance; the midpoint rule keeps energy
+    # to O(dt^2)
     op = RadialOperator(wave2k.v.grid, params33)
     pert = np.exp(-((wave2k.v.grid.nodes - 2.0) ** 2))
     values = wave2k.v.values + 1e-2 * pert / np.sqrt(op.h_norm_sq(pert))
