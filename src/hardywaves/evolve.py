@@ -17,29 +17,28 @@ Ordinary Differential Equations II, IV.8): A_ref = M + i dt/2 (K - M P_ref)
 is factored once, and each iterate back-substitutes
 y_{k+1} = A_ref^{-1} (M v_n + i dt/2 M (P(y_k) - P_ref) y_k).  P_ref is P of
 the field at the run's first nonlinear step at that dt (0 for a linear run,
-where one solve is exact), so on a perturbed standing wave P(y) - P_ref is
-of the order of the perturbation and the iteration contracts as fast as one
-with a fresh matrix per solve.  It starts from the extrapolation
-3 v_n - 3 v_{n-1} + v_{n-2} of the last three fields (the linear
-2 v_n - v_{n-1} after one step, v_n on the first).  It stops when the
-update falls below the tolerance, or earlier on the simplified-Newton
-error estimate: with the contraction ratio theta_k = err_k / err_{k-1} of
-successive updates and eta_k = theta_k / (1 - theta_k), the distance of
-the iterate from the fixed point is about eta_k err_k, and the iteration
-stops once that is below a tenth of the tolerance.  The first update of a
-step has no ratio yet and uses eta_0 = max(eta_old, 2.2e-16)^0.8, where
-eta_old is the last eta of the previous step (1 before any, and after a
-change of dt): a step that stops after one solve passes eta_0 on, so an
-estimate that is not measured again drifts back toward 1 until the
-iteration re-measures it.  On a perturbed standing wave this takes one
-Cayley solve per step at delta = 0 (301 for 300 steps at dt = 2e-3; the
-iteration measures eta only on the first step) and two at delta = 1e-3
-and 1e-2, where the plain test needs three.  An update of y is half the
-update of v_{n+1}, so the tolerance applies to twice the M-norm of the
-update of y.  The last two fields, eta_old and the stage (the factors of
-A_ref and P_ref) travel with the state, so chained ``propagate`` calls
-iterate across chunk boundaries exactly as one long call does; a change
-of dt or of ``nonlinear`` factors anew.
+where one solve is exact).  On a perturbed standing wave P(y) - P_ref is of
+the order of the perturbation, and the iteration contracts as fast as with
+a fresh matrix per solve.  Off the orbit P drifts from P_ref and the
+contraction ratio theta grows; after a step that ends with theta > 1e-3
+the next refactors at its field, RADAU5's rule for its Jacobian.  The
+iteration starts from the extrapolation 3 v_n - 3 v_{n-1} + v_{n-2} of the
+last three fields (2 v_n - v_{n-1} after one step, v_n on the first).  It
+stops when the update err_k falls below the tolerance, or once
+eta_k err_k, the estimated distance from the fixed point, is below a tenth
+of it, with theta_k = err_k / err_{k-1} and eta_k = theta_k / (1 - theta_k).
+The first update of a step has no ratio and uses
+eta_0 = max(eta_old, 2.2e-16)^0.8 of the previous step's last eta (1
+before any, and after a change of dt), so an estimate that is not measured
+again drifts back toward 1 until the iteration re-measures it.  On a
+perturbed standing wave this takes one solve per step at delta = 0 (301
+for 300 steps at dt = 2e-3) and two at delta = 1e-3 and 1e-2, where the
+plain test needs three.  An update of y is half that of v_{n+1}, so the
+tolerance applies to twice the M-norm of the update of y.  The last two
+fields, eta_old and the stage (the factors of A_ref and P_ref) travel with
+the state, so chained ``propagate`` calls iterate across chunk boundaries
+exactly as one long call does; a change of dt or of ``nonlinear`` factors
+anew.
 
 The state carries its problem's operator, which ``initial_state``
 assembles and every step reads.  A nonlinear step writes its work arrays
@@ -67,10 +66,12 @@ __all__ = ["EvolutionState", "initial_state", "propagate", "invariants"]
 _FP_TOL = 1e-12
 _FP_MAX = 50
 # error-estimate stop of the midpoint iteration: safety factor on the
-# tolerance, exponent on the previous step's eta, and its floor
+# tolerance, exponent on the previous step's eta, and its floor; and the
+# contraction ratio above which a step refactors the stage
 _KAPPA = 0.1
 _ETA_EXP = 0.8
 _ETA_MIN = 2.2e-16
+_THETA_MAX = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +80,10 @@ class EvolutionState:
 
     ``op`` is the operator of the state's problem, which every step uses.
     ``history`` holds the field values of the last two steps, newest first,
-    ``stage`` (dt, nonlinear, factors of A_ref, P_ref) of the last steps,
-    and ``eta`` their midpoint iteration's last contraction estimate
-    theta / (1 - theta); they only seed the next steps and are never
-    written out.
+    ``stage`` (dt, nonlinear, factors of A_ref, P_ref) of the last step, or
+    (dt,) if the next is to refactor, and ``eta`` their midpoint iteration's
+    last estimate theta / (1 - theta); they only seed the next steps and
+    are never written out.
     """
 
     v: Field
@@ -138,14 +139,16 @@ def propagate(
     stage = state.stage
     # the contraction ratio grows with dt, so an estimate from another dt is void
     eta = state.eta if stage[:1] == (dt,) else 1.0
-    if steps and stage[:2] != (dt, nonlinear):
-        p_ref = op.w_sing * np.abs(v) ** (op.params.q - 2.0) if nonlinear else None
-        stage = (dt, nonlinear, op.cayley_factors(dt, p_ref), p_ref)
     # charge is conserved, so its baseline sets the scale of the fixed-point tolerance
     scale = max(1.0, np.sqrt(state.charge0))
     for k in range(1, steps + 1):
+        if stage[:2] != (dt, nonlinear):
+            p_ref = op.w_sing * np.abs(v) ** (op.params.q - 2.0) if nonlinear else None
+            stage = (dt, nonlinear, op.cayley_factors(dt, p_ref), p_ref)
         if nonlinear:
-            v_new, eta = _cn_step(op, v, stage, history, eta, scale)
+            v_new, theta, eta = _cn_step(op, v, stage, history, eta, scale)
+            if theta > _THETA_MAX:
+                stage = stage[:1]  # the next step refactors at its own field
         else:
             v_new = 2.0 * op.solve_cayley(stage[2], op.mass_diag * v) - v
         history = (v, *history[:1])
@@ -191,13 +194,13 @@ def _extrapolate(v: np.ndarray, history: tuple, out: np.ndarray, scratch: np.nda
 
 def _cn_step(
     op: RadialOperator, v: np.ndarray, stage: tuple, history: tuple, eta_old: float, scale: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """One nonlinear Crank-Nicolson step.
 
-    Returns v_{n+1} and the step's last eta, which seeds the next step:
-    the measured one, or eta_0 when the step stopped after one solve, so
-    that a run of one-solve steps drifts back toward 1 and measures the
-    contraction again.
+    Returns v_{n+1}, the step's last theta (0 after one solve) and its
+    last eta, which seeds the next step: the measured one, or eta_0 after
+    one solve, so that a run of one-solve steps drifts back toward 1 and
+    measures the contraction again.
     """
     dt, _, factors, p_ref = stage
     q = op.params.q
@@ -209,7 +212,7 @@ def _cn_step(
     _extrapolate(v, history, y, diff)
     np.multiply(0.5, np.add(v, y, out=y), out=y)
     eta = max(eta_old, _ETA_MIN) ** _ETA_EXP
-    err = theta = None
+    err, theta = None, 0.0
     for _ in range(_FP_MAX):
         # M v + i dt/2 M (P(y) - P_ref) y; a diverging y overflows here, which StepError reports
         with np.errstate(over="ignore", invalid="ignore"):
@@ -233,7 +236,7 @@ def _cn_step(
             eta = theta / (1.0 - theta) if theta < 1.0 else np.inf
         if err < tol or eta * err <= _KAPPA * tol:
             np.multiply(2.0, y, out=y)
-            return np.subtract(y, v, out=y), eta
+            return np.subtract(y, v, out=y), theta, eta
     raise StepError(
         "Crank-Nicolson midpoint iteration did not converge",
         diagnostics={

@@ -26,9 +26,8 @@ def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params
     # 9.6e-13 of max|v+| at any node, where an explicit right-hand side
     # M v - i dt/2 K v is up to 1.7e-14 and 1.5e-11 off (median 7e-16 and
     # 2.1e-12).  The M-norm weights r^2 span 15 decades, so the max-norm
-    # bound is what holds the nodes near the origin.  Alternating dt checks
-    # that the factors follow dt.  The potential is real, as B must be real
-    # symmetric.
+    # bound is what holds the nodes near the origin.  The potential is real,
+    # as B must be real symmetric.
     op = RadialOperator(build_grid(2048, 1e-6, 50.0), params33)
     n = op.grid.n
     rng = np.random.default_rng(11)
