@@ -111,6 +111,8 @@ def _load_config_file(path: str | None) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CLIUsageError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CLIUsageError(f"config file cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise CLIUsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -391,7 +393,10 @@ def main(argv=None) -> int:
             cfg["which"] = args.which
         meta = {"config_sha256": config_hash(cfg), "version": __version__}
         outdir = Path(cfg["outdir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CLIUsageError(f"output directory cannot be made: {exc}")
         return handler(cfg, outdir, meta)
     except CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,10 +41,10 @@ exactly as one long call does; a change of dt or of ``nonlinear`` factors
 anew.
 
 The state carries its problem's operator, which ``initial_state``
-assembles and every step reads.  A nonlinear step writes its work arrays
-into the operator's stage workspace (``operators``); only each solve's
-result is fresh, and it becomes v_{n+1}.  So states that share an operator
-must not be propagated concurrently.
+assembles and every step only reads.  A nonlinear step writes into work
+rows that ride on the state with the factors (``_workspace``); only each
+solve's result is fresh, and it becomes v_{n+1}.  The rows carry nothing
+between steps, so each run owns its own; one thread steps a run at a time.
 
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
@@ -83,7 +83,8 @@ class EvolutionState:
     ``stage`` (dt, nonlinear, factors of A_ref, P_ref) of the last step, or
     (dt,) if the next is to refactor, and ``eta`` their midpoint iteration's
     last estimate theta / (1 - theta); they only seed the next steps and
-    are never written out.
+    are never written out.  ``work`` holds the rows a nonlinear step
+    writes, () until the run's first one.
     """
 
     v: Field
@@ -94,6 +95,7 @@ class EvolutionState:
     history: tuple = field(default=(), repr=False)
     eta: float = field(default=1.0, repr=False)
     stage: tuple = field(default=(), repr=False)
+    work: tuple = field(default=(), repr=False)
 
 
 def initial_state(v: Field, params: Params) -> EvolutionState:
@@ -124,8 +126,8 @@ def propagate(
 
     ``nonlinear=False`` disables the q-term, leaving the free 2D radial
     propagator (useful against the closed-form dispersing Gaussian).  The
-    returned state carries the same operator and the factored stage, so
-    chaining calls at one dt factors once.
+    returned state carries the same operator, the factored stage and the
+    work rows, so chaining calls at one dt factors once.
     """
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"time step must be finite and positive, got {dt}")
@@ -135,8 +137,8 @@ def propagate(
     if nonlinear:
         op.params.require_subcritical("nonlinear propagation")
     v = op.check_field(state.v).astype(complex, copy=False)
-    history = state.history
-    stage = state.stage
+    history, stage = state.history, state.stage
+    work = state.work or (_workspace(op.grid.n) if nonlinear and steps else ())
     # the contraction ratio grows with dt, so an estimate from another dt is void
     eta = state.eta if stage[:1] == (dt,) else 1.0
     # charge is conserved, so its baseline sets the scale of the fixed-point tolerance
@@ -146,7 +148,7 @@ def propagate(
             p_ref = op.w_sing * np.abs(v) ** (op.params.q - 2.0) if nonlinear else None
             stage = (dt, nonlinear, op.cayley_factors(dt, p_ref), p_ref)
         if nonlinear:
-            v_new, theta, eta = _cn_step(op, v, stage, history, eta, scale)
+            v_new, theta, eta = _cn_step(op, v, stage, history, eta, scale, work)
             if theta > _THETA_MAX:
                 stage = stage[:1]  # the next step refactors at its own field
         else:
@@ -162,6 +164,7 @@ def propagate(
         history=history,
         eta=eta,
         stage=stage,
+        work=work,
     )
 
 
@@ -192,10 +195,20 @@ def _extrapolate(v: np.ndarray, history: tuple, out: np.ndarray, scratch: np.nda
         out[...] = v
 
 
+def _workspace(n: int) -> tuple:
+    """The rows ``_cn_step`` writes, views of one block: complex mv, midpoint,
+    diff, m_diff and rhs, then the real potential.  Made per step, they would
+    be a dozen 128 KiB temporaries at n = 8192 (glibc's mmap threshold),
+    whose pages the kernel would fault in again on every step."""
+    block = np.empty(11 * n)
+    return (*block[:10 * n].view(complex).reshape(5, n), block[10 * n:])
+
+
 def _cn_step(
-    op: RadialOperator, v: np.ndarray, stage: tuple, history: tuple, eta_old: float, scale: float
+    op: RadialOperator, v: np.ndarray, stage: tuple, history: tuple, eta_old: float, scale: float,
+    work: tuple,
 ) -> tuple[np.ndarray, float, float]:
-    """One nonlinear Crank-Nicolson step.
+    """One nonlinear Crank-Nicolson step, writing into the ``work`` rows.
 
     Returns v_{n+1}, the step's last theta (0 after one solve) and its
     last eta, which seeds the next step: the measured one, or eta_0 after
@@ -205,10 +218,8 @@ def _cn_step(
     dt, _, factors, p_ref = stage
     q = op.params.q
     tol = _FP_TOL * scale
-    work = op._stage_work()
-    mv, rhs, potential, diff, m_diff = work.mv, work.rhs, work.potential, work.diff, work.m_diff
+    mv, y, diff, m_diff, rhs, potential = work
     np.multiply(op.mass_diag, v, out=mv)
-    y = work.midpoint
     _extrapolate(v, history, y, diff)
     np.multiply(0.5, np.add(v, y, out=y), out=y)
     eta = max(eta_old, _ETA_MIN) ** _ETA_EXP
@@ -224,7 +235,7 @@ def _cn_step(
             np.multiply(potential, y, out=rhs)
             np.multiply(0.5j * dt, rhs, out=rhs)
             np.add(mv, rhs, out=rhs)
-        # a fresh array, never the workspace, so it can become v_{n+1}
+        # a fresh array, never a work row, so it can become v_{n+1}
         y_new = op.solve_cayley(factors, rhs)
         np.subtract(y_new, y, out=diff)
         np.multiply(op.mass_diag, diff, out=m_diff)

@@ -25,16 +25,6 @@ M + i dt/2 (K - M diag(potential)) once, and ``solve_cayley``
 back-substitutes a right-hand side through those factors; the caller keeps
 the factors (``evolve`` keeps them on the evolution state).
 
-An operator holds a stage workspace: one block of n-point rows that the
-nonlinear step writes into, namely M v, the extrapolated midpoint, the
-potential, the right-hand side, and the update with its M-weighted copy.
-Allocated per step, they would be a dozen 128 KiB temporaries at n = 8192,
-glibc's default mmap threshold, whose pages the kernel would fault in again
-on every step.  The workspace is made on the first nonlinear step, so an
-operator that only serves the ground-state solver or a checker never holds
-it, and no returned array is part of it.  Because of the workspace, an
-operator is not for concurrent use.
-
 The four tridiagonal LAPACK routines (dptsv, dgtsv, zgttrf, zgttrs) come
 from scipy's compiled f2py module ``scipy/linalg/_flapack``, loaded from
 its file under its own module name.  Importing the ``scipy.linalg`` package
@@ -105,7 +95,6 @@ class RadialOperator:
         # and locally integrable against r dr for q below the critical exponent
         base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
         self.w_sing = base if params.weight is None else base * params.weight(grid.nodes)
-        self._work = None  # stage workspace, made by _stage_work
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----
 
@@ -195,12 +184,6 @@ class RadialOperator:
             raise LinAlgError(f"Cayley stage solve failed (zgttrs info={info})")
         return y
 
-    def _stage_work(self) -> "_StageWork":
-        """The stage workspace, made on the first call and then reused."""
-        if self._work is None:
-            self._work = _StageWork(self.grid.n)
-        return self._work
-
     # -- helpers ---------------------------------------------------------------
 
     def check_field(self, v: Field) -> np.ndarray:
@@ -208,14 +191,3 @@ class RadialOperator:
             raise ShapeError("field lives on a different grid than the operator")
         return v.values
 
-
-class _StageWork:
-    """The stage workspace, rows of one block that ``evolve._cn_step``
-    writes: ``mv``, ``midpoint``, ``diff`` (an update of the midpoint),
-    ``m_diff`` (M diff), ``rhs`` and, real, ``potential``."""
-
-    def __init__(self, n: int):
-        block = np.empty(11 * n)
-        self.mv, self.midpoint, self.diff, self.m_diff, self.rhs = (
-            block[:10 * n].view(complex).reshape(5, n))
-        self.potential = block[10 * n:]

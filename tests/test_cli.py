@@ -85,6 +85,33 @@ def test_invalid_json_config_exit_1(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_config_directory_exit_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(["check", "weight", "--config", str(tmp_path), "--outdir", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"N": 3, "note": "\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    code = run_cli(["check", "weight", "--config", str(cfg), "--outdir", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outdir_naming_a_file_exit_1(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    code = run_cli(["check", "weight", "--outdir", str(target)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and target.read_text() == "keep"
+
+
 def test_out_of_range_q_for_stability_exit_1(tmp_path, capsys):
     code = run_cli(["stability", "--q", "5", "--outdir", str(tmp_path)])
     assert code == 1

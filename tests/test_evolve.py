@@ -13,9 +13,9 @@ from hardywaves import (
     normalized_gradient_flow,
     orbit_distance,
 )
-from hardywaves import operators
+from hardywaves import evolve, operators
 from hardywaves.checks import check_ckn
-from hardywaves.evolve import _FP_MAX, _FP_TOL, initial_state, invariants, propagate
+from hardywaves.evolve import _FP_MAX, _FP_TOL, _start, initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import perturbed_field
 
@@ -211,30 +211,57 @@ def test_unperturbed_wave_takes_one_solve_per_step(wave8k, params33, monkeypatch
     assert len(calls) <= 310
 
 
-def test_stage_workspace_is_made_once_per_operator(params33, monkeypatch):
-    # the nonlinear step writes into one workspace on the operator, made on
-    # its first nonlinear step and reused by every later propagate call; an
-    # operator that only solved for a ground state or sampled a
-    # checker never makes one, and no returned field shares its memory
+def test_work_rows_are_made_once_per_run(grid2k, params33, monkeypatch):
+    # a nonlinear step writes into work rows that ride on the run's state:
+    # made at its first nonlinear step, kept by every later propagate call
+    # and refactor, and never made by a ground-state solve, a checker or a
+    # linear run.  The operator stays as assembled, so runs that share it
+    # get rows of their own, and no returned field shares memory with them
     made = []
+    workspace = evolve._workspace
 
-    class Recorded(operators._StageWork):
-        def __init__(self, n):
-            made.append(n)
-            super().__init__(n)
+    def recorded(n):
+        made.append(n)
+        return workspace(n)
 
-    monkeypatch.setattr(operators, "_StageWork", Recorded)
+    monkeypatch.setattr(evolve, "_workspace", recorded)
     grid = build_grid(512, 1e-4, 30.0)
     wave = normalized_gradient_flow(params33, grid, tol=1e-6)
     check_ckn(5, 0, params33, grid)
-    assert made == [] and wave.op._work is None
-    state = initial_state(perturbed_field(wave, 1e-2, "radial-bump"), params33)
-    first = propagate(state, 1e-3, 3)
-    work = state.op._work
+    op = wave.op
+    assembled = dict(vars(op))
+    arrays = {key: val.copy() for key, val in assembled.items() if isinstance(val, np.ndarray)}
+    linear = propagate(_start(op, perturbed_field(wave, 1e-2, "radial-bump")), 1e-3, 3,
+                       nonlinear=False)
+    assert made == [] and linear.work == ()
+    first = propagate(linear, 1e-3, 3)
     second = propagate(first, 1e-3, 3)
-    assert made == [grid.n] and second.op._work is work
-    for values in (first.v.values, *first.history, second.v.values, *second.history):
-        assert not any(np.shares_memory(values, arr) for arr in vars(work).values())
+    other = propagate(_start(op, perturbed_field(wave, 1e-2, "phase-ramp")), 1e-3, 3)
+    assert made == [grid.n, grid.n] and second.work is first.work and len(first.work) == 6
+    assert not any(np.shares_memory(a, b) for a in first.work for b in other.work)
+    assert vars(op).keys() == assembled.keys()
+    assert all(vars(op)[key] is val for key, val in assembled.items())
+    assert all(np.array_equal(vars(op)[key], val) for key, val in arrays.items())
+    # off the orbit each chunk ends by cutting the stage to (dt,), and the
+    # next call refactors with the same rows
+    factored = []
+    factor = RadialOperator.cayley_factors
+
+    def counted(self, *args):
+        factored.append(1)
+        return factor(self, *args)
+
+    monkeypatch.setattr(RadialOperator, "cayley_factors", counted)
+    v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
+    states = [propagate(initial_state(v0, params33), 5e-2, 2)]
+    for _ in range(3):
+        assert states[-1].stage == (5e-2,)
+        states.append(propagate(states[-1], 5e-2, 2))
+    assert len(factored) > len(states) and len(made) == 3
+    assert all(state.work is states[0].work for state in states)
+    for state in (first, second, other, *states):
+        for values in (state.v.values, *state.history):
+            assert not any(np.shares_memory(values, row) for row in state.work)
 
 
 def test_run_factors_its_stage_once(wave2k, params33, monkeypatch):
