@@ -9,9 +9,12 @@ runs with identical configurations are byte-identical.  The CSV writer
 computes those 17 digits itself, exactly, and hands any value it cannot
 settle to Python's formatter.
 
+Each command maps the resolved configuration to its files; ``main`` alone
+writes them, stamp included, and only once the command has succeeded.
+
 Exit codes: 0 success, 1 configuration or usage error (a package error that
-is a ValueError counts as one), 2 numerical failure (an error JSON with
-diagnostics is written in the output directory).
+is a ValueError counts as one; no file is written), 2 numerical failure (only
+an error JSON with diagnostics is written in the output directory).
 """
 
 from __future__ import annotations
@@ -174,24 +177,19 @@ def _grid_from(cfg: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each gets the resolved config, the output directory and the
-# hash/version stamp; its docstring is its --help line
+# subcommands: each maps the resolved config to its files, by name, with a
+# dict for a JSON file and a (header, columns) pair for a CSV one; main writes
+# them.  A handler's docstring is its --help line
 
 
-def _cmd_ground_state(cfg: dict, outdir: Path, meta: dict) -> int:
+def _cmd_ground_state(cfg: dict) -> dict:
     """solve the constrained minimisation"""
     params = _params_from(cfg)
     grid = _grid_from(cfg)
-    origin_fit_window(grid)  # checked before the solve, so bad input writes no run files
+    origin_fit_window(grid)  # checked before the solve, so bad input fails at once
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"], max_iter=cfg["max_iter"])
     u = to_u(sw.v, params.N)
-    exponent = fit_origin(u, params.N)[0]
-    _write_csv(
-        outdir / "ground_state_profile.csv",
-        ["r", "v", "u"],
-        [grid.nodes, np.real(sw.v.values), np.real(u.values)],
-        meta,
-    )
+    profile = (["r", "v", "u"], [grid.nodes, np.real(sw.v.values), np.real(u.values)])
     summary = {
         "gamma": sw.gamma,
         "lambda": sw.lam,
@@ -203,12 +201,10 @@ def _cmd_ground_state(cfg: dict, outdir: Path, meta: dict) -> int:
         "residual": sw.residual,
         "iterations": sw.iterations,
         "v0": sw.v0,
-        "origin_exponent": exponent,
+        "origin_exponent": fit_origin(u, params.N)[0],
         "Lambda_origin": sw.Lambda_origin,
-        **meta,
     }
-    _write_json(outdir / "ground_state_summary.json", summary)
-    return 0
+    return {"ground_state_profile.csv": profile, "ground_state_summary.json": summary}
 
 
 def _free_gaussian(grid, t: float) -> np.ndarray:
@@ -216,7 +212,7 @@ def _free_gaussian(grid, t: float) -> np.ndarray:
     return np.exp(-grid.nodes**2 / (2.0 * z)) / z
 
 
-def _cmd_evolve(cfg: dict, outdir: Path, meta: dict) -> int:
+def _cmd_evolve(cfg: dict) -> dict:
     """propagate a Gaussian in the transformed variable"""
     steps = cfg["steps"]
     if steps < 1:
@@ -230,46 +226,36 @@ def _cmd_evolve(cfg: dict, outdir: Path, meta: dict) -> int:
     for state, *values in _checkpoints(state, cfg["dt"], chunks, not cfg["linear"]):
         rows.append((state.time, *values))
     columns = list(np.array(rows).T)
-    _write_csv(
-        outdir / "evolve_trajectory.csv",
-        ["t", "charge", "energy", "charge_drift", "energy_drift"],
-        columns,
-        meta,
-    )
     summary = {
         "final_time": state.time,
         "charge_drift": float(np.max(columns[3])),
         "energy_drift": float(np.max(columns[4])),
         "scheme": cfg["scheme"],
         "linear": cfg["linear"],
-        **meta,
     }
     if cfg["linear"]:
         exact = _free_gaussian(grid, state.time)
         summary["final_error"] = float(np.max(np.abs(state.v.values - exact)))
-    _write_json(outdir / "evolve_summary.json", summary)
-    return 0
+    header = ["t", "charge", "energy", "charge_drift", "energy_drift"]
+    return {"evolve_trajectory.csv": (header, columns), "evolve_summary.json": summary}
 
 
-def _cmd_stability(cfg: dict, outdir: Path, meta: dict) -> int:
+def _cmd_stability(cfg: dict) -> dict:
     """perturb a standing wave and track orbit distance"""
     params = _params_from(cfg)
     params.require_subcritical("the stability command")
     deltas = cfg["delta"] if isinstance(cfg["delta"], (list, tuple)) else [cfg["delta"]]
-    # checked before the ground-state solve, so bad input writes no run files
-    check_run(deltas, cfg["T"], cfg["dt"])
+    check_run(deltas, cfg["T"], cfg["dt"])  # before the ground-state solve, so it fails at once
     grid = _grid_from(cfg)
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"])
-    per_delta = []
+    files, per_delta = {}, []
     for idx, delta in enumerate(deltas):
         run = stability_experiment(
             sw, float(delta), perturbation_kind=cfg["kind"], T=cfg["T"], dt=cfg["dt"]
         )
-        _write_csv(
-            outdir / f"stability_run_{idx}.csv",
+        files[f"stability_run_{idx}.csv"] = (
             ["t", "distance", "charge_drift", "energy_drift"],
             [run.times, run.distances, run.charge_drift, run.energy_drift],
-            meta,
         )
         per_delta.append(
             {
@@ -280,11 +266,10 @@ def _cmd_stability(cfg: dict, outdir: Path, meta: dict) -> int:
                 "max_energy_drift": float(np.max(run.energy_drift)),
             }
         )
-    _write_json(
-        outdir / "stability_summary.json",
-        {"runs": per_delta, "kind": cfg["kind"], "T": cfg["T"], "lambda": sw.lam, **meta},
-    )
-    return 0
+    files["stability_summary.json"] = {
+        "runs": per_delta, "kind": cfg["kind"], "T": cfg["T"], "lambda": sw.lam
+    }
+    return files
 
 
 # check's positional ``which`` -> the check, called with the resolved config
@@ -301,22 +286,18 @@ _CHECKS = {
 }
 
 
-def _cmd_check(cfg: dict, outdir: Path, meta: dict) -> int:
+def _cmd_check(cfg: dict) -> dict:
     """run an inequality or weight-condition check"""
     check_dimension(cfg["N"])
     grid = _grid_from(cfg)  # built for weight too, so a bad grid is an error there as well
-    report = _CHECKS[cfg["which"]](cfg, grid)
-    _write_json(outdir / f"check_{cfg['which']}.json", {**report, **meta})
-    return 0
+    return {f"check_{cfg['which']}.json": _CHECKS[cfg["which"]](cfg, grid)}
 
 
-def _cmd_kelvin_verify(cfg: dict, outdir: Path, meta: dict) -> int:
+def _cmd_kelvin_verify(cfg: dict) -> dict:
     """involution and norm-equivalence checks"""
     check_dimension(cfg["N"])
     grid = _grid_from(cfg)
-    report = kelvin_verify(grid, cfg["N"], cfg["samples"], cfg["seed"])
-    _write_json(outdir / "kelvin_verify.json", {**report, **meta})
-    return 0
+    return {"kelvin_verify.json": kelvin_verify(grid, cfg["N"], cfg["samples"], cfg["seed"])}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +378,12 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CLIUsageError(f"output directory cannot be made: {exc}")
-        return handler(cfg, outdir, meta)
+        for name, content in handler(cfg).items():  # none written unless the command succeeded
+            if isinstance(content, dict):
+                _write_json(outdir / name, {**content, **meta})
+            else:
+                _write_csv(outdir / name, *content, meta)
+        return 0
     except CLIUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -409,6 +395,7 @@ def main(argv=None) -> int:
             "error": type(exc).__name__,
             "message": str(exc),
             "diagnostics": exc.diagnostics,
+            **meta,
         }
         _write_json(outdir / "error.json", payload)
         print(f"numerical failure: {exc}", file=sys.stderr)

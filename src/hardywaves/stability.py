@@ -91,7 +91,8 @@ def _perturbation(kind: str, op: RadialOperator, v_wave: np.ndarray) -> np.ndarr
 
 def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
     """Standing wave plus a delta-sized energy-norm perturbation, renormalised
-    back to mass gamma (the beta-normalisation device)."""
+    back to mass gamma (the beta-normalisation device).  A delta whose
+    perturbed mass is not finite and positive is a ParameterError."""
     op = sw.op
     v_wave = np.real(sw.v.values)
     v = v_wave.astype(complex)
@@ -101,19 +102,25 @@ def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
         if h_norm == 0.0:
             raise ParameterError(f"perturbation kind {kind!r} degenerates on this wave")
         v = v + (delta / h_norm) * pert
+        with np.errstate(over="ignore"):  # reported by the error below
+            mass = op.mass(v)
+        if not 0.0 < mass < np.inf:  # an overflow would renormalise the field to zero
+            raise ParameterError(f"delta = {delta} gives the perturbed field mass {mass}")
     return sw.v.with_values(_renormalize(op, v, sw.gamma))
 
 
 def check_run(deltas, T: float, dt: float) -> None:
     """Raise ParameterError unless the perturbation sizes are a nonempty
-    list of numbers >= 0 and the final time T and the step dt are finite and
-    positive."""
+    list of numbers >= 0, the final time T and the step dt are finite and
+    positive, and the steps per sample, T / (100 dt), are finite."""
     if not deltas or not all(delta >= 0.0 for delta in deltas):
         raise ParameterError(f"delta must be a nonempty list of numbers >= 0, got {deltas}")
     if not 0.0 < T < np.inf:
         raise ParameterError(f"final time T must be finite and positive, got {T}")
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"time step must be finite and positive, got {dt}")
+    if not np.isfinite(T / (_SAMPLES * dt)):
+        raise ParameterError(f"T / ({_SAMPLES} dt) must be finite, got T = {T}, dt = {dt}")
 
 
 def stability_experiment(

@@ -6,8 +6,9 @@ Runs, under each tree's ``src`` directory, every task of the perfbench
 workloads (the 21 survey ground states, its checks and Kelvin run, the
 dispersion evolves and the orbital stability run for each perturbation kind)
 plus the fixed ``EXTRA_TASKS``, then compares every file the two trees wrote,
-byte for byte.  Exits 0 when all are equal.  A perf change that claims identical
-artifacts runs it against a checkout of its parent commit.
+byte for byte, and each task's outcome: its exit code, or the class of an
+exception that escaped ``main``.  Exits 0 when all are equal.  A perf change
+that claims identical artifacts runs it against a checkout of its parent commit.
 """
 
 from __future__ import annotations
@@ -28,21 +29,30 @@ import workloads  # noqa: E402
 RUN = """
 import json, sys
 from hardywaves.cli import main
+outcomes = {}
 for name, argv in json.loads(sys.argv[1]):
-    if main([*argv, "--outdir", sys.argv[2] + "/" + name]) != 0:
-        sys.exit(f"{name} failed")
+    try:
+        outcomes[name] = main([*argv, "--outdir", sys.argv[2] + "/" + name])
+    except Exception as exc:  # a traceback is an outcome to compare, not a crash of the tool
+        outcomes[name] = type(exc).__name__
+print(json.dumps(outcomes))
 """
 
 
 # branches and verdicts the workloads leave out: the log-weight ihs kind, a
-# weight that fails (omega_inf above the threshold -3/2), and a nonlinear
-# evolve whose potential power q - 2 is not 1
+# weight that fails (omega_inf above the threshold -3/2), a nonlinear evolve
+# whose potential power q - 2 is not 1, a ground state that fails to converge
+# (exit 2) and a stability run whose second delta overflows the perturbed mass
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
     ("check-weight-failing", ["check", "weight", "--omega-zero", "0", "--omega-inf", "0"]),
     ("check-weight-integrable", ["check", "weight", "--omega-zero", "-1", "--omega-inf", "-4"]),
     ("evolve-q2.4", ["evolve", "--N", "5", "--q", "2.4", "--n", "2048", "--steps", "200"]),
+    ("ground-state-failing", ["ground-state", "--n", "512", "--r-min", "1e-4", "--r-max", "30",
+                              "--tol", "1e-30", "--max-iter", "3"]),
+    ("stability-delta-overflow", ["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
+                                  "--T", "0.02", "--dt", "2e-3", "--delta", "0.01", "1e160"]),
 ]
 
 
@@ -58,10 +68,12 @@ def _tasks() -> list[tuple[str, list[str]]]:
     return named + EXTRA_TASKS
 
 
-def _run(src: Path, tasks, outroot: Path) -> None:
+def _run(src: Path, tasks, outroot: Path) -> dict:
+    """Each task's exit code, or the class name of the exception it raised."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", RUN, json.dumps(tasks), str(outroot)],
-                   env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", RUN, json.dumps(tasks), str(outroot)],
+                          env=env, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main(argv: list[str]) -> int:
@@ -69,18 +81,21 @@ def main(argv: list[str]) -> int:
     tasks = _tasks()
     with tempfile.TemporaryDirectory() as tmp:
         roots = Path(tmp, "old"), Path(tmp, "new")
-        for src, root in zip((old, new), roots):
-            _run(src, tasks, root)
-        files = [sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
-                 for root in roots]
-        if files[0] != files[1]:
-            print("the trees wrote different files:", set(files[0]) ^ set(files[1]))
-            return 1
-        differ = [f for f in files[0] if (roots[0] / f).read_bytes() != (roots[1] / f).read_bytes()]
+        outcomes = [_run(src, tasks, root) for src, root in zip((old, new), roots)]
+        files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in roots]
+        differ = sorted(f for f in files[0] & files[1]
+                        if (roots[0] / f).read_bytes() != (roots[1] / f).read_bytes())
+    changed = [name for name, _ in tasks if outcomes[0][name] != outcomes[1][name]]
+    for name in changed:
+        print(f"outcome differs: {name}: {outcomes[0][name]} -> {outcomes[1][name]}")
+    for tree, only in (("old", files[0] - files[1]), ("new", files[1] - files[0])):
+        for f in sorted(only):
+            print(f"only the {tree} tree wrote:", f)
     for f in differ:
         print("differs:", f)
-    print(f"{len(tasks)} tasks, {len(files[0])} files, {len(differ)} differ")
-    return 1 if differ else 0
+    print(f"{len(tasks)} tasks, {len(files[0])} and {len(files[1])} files, "
+          f"{len(differ)} differ, {len(changed)} outcomes differ")
+    return 1 if differ or changed or files[0] != files[1] else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -696,7 +697,7 @@ def test_bad_numeric_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
 def test_error_class_decides_exit_code(error, code, tmp_path, monkeypatch):
     # a package error that is a ValueError is bad input (exit 1, no
     # error.json); a RuntimeError one is a numerical failure (exit 2)
-    def handler(cfg, outdir, meta):
+    def handler(cfg):
         raise error("raised by the handler")
 
     _, defaults = cli._COMMANDS["ground-state"]
@@ -732,6 +733,58 @@ def test_ground_state_input_without_origin_fit_is_config_error(command, argv, tm
     err = capsys.readouterr().err
     assert "config error" in err and ("below r = 1" in err or "fit window" in err)
     assert not (out / "error.json").exists()
+
+
+def test_error_json_carries_the_stamp(tmp_path):
+    # error.json is stamped like every other file, so identical failing runs
+    # write identical bytes
+    written = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run_cli(["ground-state", *SMALL_GRID, "--tol", "1e-30", "--max-iter", "3",
+                        "--outdir", str(out)]) == 2
+        written.append((out / "error.json").read_bytes())
+    payload = read_json(tmp_path / "a" / "error.json")
+    assert re.fullmatch("[0-9a-f]{64}", payload["config_sha256"])
+    assert payload["version"] == hardywaves.__version__
+    assert written[0] == written[1]
+
+
+def test_failed_run_leaves_only_error_json(tmp_path, monkeypatch):
+    # the second delta run fails: the first one's CSV is not written either
+    run, calls = cli.stability_experiment, []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise errors.StepError("the second run failed")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stability_experiment", second_fails)
+    out = tmp_path / "out"
+    assert run_cli(["stability", *SMALL_GRID, "--delta", "0.01", "0.02", "--T", "0.02",
+                    "--dt", "2e-3", "--outdir", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_overflowing_step_count_is_config_error(tmp_path, monkeypatch, capsys):
+    # T / (100 dt) = inf used to overflow the step count after the solve
+    _fail_if_solved(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli(["stability", *SMALL_GRID, "--T", "1e308", "--dt", "1e-10",
+                    "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_delta_is_config_error(tmp_path, capsys):
+    # a perturbed mass of inf used to renormalise the field to zero and end
+    # in a ZeroDivisionError, after the first run's file was written
+    out = tmp_path / "out"
+    assert run_cli(["stability", *SMALL_GRID, "--delta", "0.01", "1e160", "--T", "0.02",
+                    "--dt", "2e-3", "--outdir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_log_weight_support_message_names_its_bound(tmp_path, capsys):

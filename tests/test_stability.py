@@ -141,6 +141,24 @@ def test_stability_rejects_bad_time_step(wave2k, dt):
         stability_experiment(wave2k, 1e-2, T=1.0, dt=dt)
 
 
+def test_stability_rejects_overflowing_step_count(wave2k):
+    # T / (100 dt) = inf overflowed int(round(...)) in the step count
+    from hardywaves import ParameterError
+
+    with pytest.raises(ParameterError, match="must be finite"):
+        stability_experiment(wave2k, 1e-2, T=1e308, dt=1e-10)
+
+
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_stability_rejects_delta_that_overflows_the_mass(wave2k, kind):
+    # an infinite perturbed mass renormalised the field to zero, and the
+    # charge drift then divided by a zero charge
+    from hardywaves import ParameterError
+
+    with pytest.raises(ParameterError, match="mass inf"):
+        stability_experiment(wave2k, 1e160, perturbation_kind=kind)
+
+
 @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
 def test_stability_experiment_matches_chained_propagate(wave2k, params33, kind):
     # the run on the wave's operator gives the bits of the same run made
