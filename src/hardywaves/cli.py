@@ -38,7 +38,7 @@ from .evolve import _checkpoints, initial_state
 from .groundstate import fit_origin, normalized_gradient_flow, origin_fit_window
 from .kelvin import kelvin_verify
 from .radial import Field, Params, build_grid, check_dimension, to_u
-from .stability import PERTURBATION_KINDS, check_run, stability_experiment
+from .stability import PERTURBATION_KINDS, _experiments, check_run
 
 OUTDIR_ENV = "HARDYWAVES_OUTDIR"
 
@@ -248,20 +248,18 @@ def _cmd_stability(cfg: dict) -> dict:
     check_run(deltas, cfg["T"], cfg["dt"])  # before the ground-state solve, so it fails at once
     grid = _grid_from(cfg)
     sw = normalized_gradient_flow(params, grid, tol=cfg["tol"])
+    runs = _experiments(sw, [float(delta) for delta in deltas], cfg["kind"], cfg["T"], cfg["dt"])
     files, per_delta = {}, []
-    for idx, delta in enumerate(deltas):
-        run = stability_experiment(
-            sw, float(delta), perturbation_kind=cfg["kind"], T=cfg["T"], dt=cfg["dt"]
-        )
+    for idx, run in enumerate(runs):
         files[f"stability_run_{idx}.csv"] = (
             ["t", "distance", "charge_drift", "energy_drift"],
             [run.times, run.distances, run.charge_drift, run.energy_drift],
         )
         per_delta.append(
             {
-                "delta": float(delta),
+                "delta": run.delta,
                 "max_distance": run.max_distance,
-                "ratio": run.max_distance / delta if delta > 0 else None,
+                "ratio": run.max_distance / run.delta if run.delta > 0 else None,
                 "max_charge_drift": float(np.max(run.charge_drift)),
                 "max_energy_drift": float(np.max(run.energy_drift)),
             }

@@ -42,9 +42,10 @@ anew.
 
 The state carries its problem's operator, which ``initial_state``
 assembles and every step only reads.  A nonlinear step writes into work
-rows that ride on the state with the factors (``_workspace``); only each
-solve's result is fresh, and it becomes v_{n+1}.  The rows carry nothing
-between steps, so each run owns its own; one thread steps a run at a time.
+rows that ride on the state with the factors (``_workspace``), and a linear
+step into one row of its ``propagate`` call; only each solve's result is
+fresh, and it becomes v_{n+1}.  The rows carry nothing between steps, so
+each run owns its own; one thread steps a run at a time.
 
 Boundary conditions: reflecting ghost at the origin end (v'(0) = 0),
 zero beyond r_max.  No absorbing layer is attached at r_max; keep runs
@@ -139,6 +140,7 @@ def propagate(
     v = op.check_field(state.v).astype(complex, copy=False)
     history, stage = state.history, state.stage
     work = state.work or (_workspace(op.grid.n) if nonlinear and steps else ())
+    mv = None if nonlinear else np.empty_like(v)
     # the contraction ratio grows with dt, so an estimate from another dt is void
     eta = state.eta if stage[:1] == (dt,) else 1.0
     # charge is conserved, so its baseline sets the scale of the fixed-point tolerance
@@ -151,8 +153,10 @@ def propagate(
             v_new, theta, eta = _cn_step(op, v, stage, history, eta, scale, work)
             if theta > _THETA_MAX:
                 stage = stage[:1]  # the next step refactors at its own field
-        else:
-            v_new = 2.0 * op.solve_cayley(stage[2], op.mass_diag * v) - v
+        else:  # 2 y - v, y = A^-1 M v, formed in place on the solve's fresh result
+            v_new = op.solve_cayley(stage[2], np.multiply(op.mass_diag, v, out=mv))
+            np.multiply(2.0, v_new, out=v_new)
+            np.subtract(v_new, v, out=v_new)
         history = (v, *history[:1])
         v = v_new
         if not np.all(np.isfinite(v)):

@@ -11,11 +11,18 @@ with the optimal phase theta* = arg <v, v_g>_H in the complex energy inner
 product (Dirichlet + weighted mass).
 
 A stability run has one problem, the wave's: perturbation, evolution and
-orbit distance all run on the operator the wave was solved on.
+orbit distance all run on the operator the wave was solved on.  The runs of
+one wave share nothing they write, so ``_experiments`` may run them in
+forked worker processes; each gives the bits it gives alone.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,7 @@ __all__ = ["StabilityRun", "orbit_distance", "stability_experiment", "PERTURBATI
 
 PERTURBATION_KINDS = ("radial-bump", "phase-ramp", "mass-preserving-deformation")
 _SAMPLES = 100  # orbit-distance samples per run
+_MAX_STEPS = 1e9  # time steps per run; FORMATS.md's default run takes 2e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +60,11 @@ class StabilityRun:
             raise ParameterError("stability run arrays must share one length")
         if np.any(self.distances < 0.0):
             raise ParameterError("orbit distances cannot be negative")
+
+    def __reduce__(self):  # unpickled through __post_init__, so the arrays stay read-only
+        return type(self), (
+            self.delta, self.times, self.distances, self.charge_drift, self.energy_drift
+        )
 
     @property
     def max_distance(self) -> float:
@@ -112,15 +125,17 @@ def perturbed_field(sw: StandingWave, delta: float, kind: str) -> Field:
 def check_run(deltas, T: float, dt: float) -> None:
     """Raise ParameterError unless the perturbation sizes are a nonempty
     list of numbers >= 0, the final time T and the step dt are finite and
-    positive, and the steps per sample, T / (100 dt), are finite."""
+    positive, and T / dt is at most 1e9, which bounds a run's step count."""
     if not deltas or not all(delta >= 0.0 for delta in deltas):
         raise ParameterError(f"delta must be a nonempty list of numbers >= 0, got {deltas}")
     if not 0.0 < T < np.inf:
         raise ParameterError(f"final time T must be finite and positive, got {T}")
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"time step must be finite and positive, got {dt}")
-    if not np.isfinite(T / (_SAMPLES * dt)):
-        raise ParameterError(f"T / ({_SAMPLES} dt) must be finite, got T = {T}, dt = {dt}")
+    if not T / dt <= _MAX_STEPS:  # an overflow to inf fails here too
+        raise ParameterError(
+            f"T / dt must be finite and at most {_MAX_STEPS:.0e}, got T = {T}, dt = {dt}"
+        )
 
 
 def stability_experiment(
@@ -149,3 +164,102 @@ def stability_experiment(
         charge_drift=charge_drift,
         energy_drift=energy_drift,
     )
+
+
+def _experiments(sw: StandingWave, deltas, kind: str, T: float, dt: float) -> list[StabilityRun]:
+    """``stability_experiment`` of the wave for each delta, in delta order.
+
+    With more than one delta the runs go to forked worker processes, at
+    most one per usable CPU, when this process can fork them safely: it
+    knows its CPU affinity (Linux) and has one Python thread.  Otherwise
+    they run here, one after another.  A worker computes its run as this
+    process would, so both paths give the same bits, and a failure raises
+    what the loop here raises, the exception of the first failing delta.
+    """
+    run = functools.partial(stability_experiment, sw, perturbation_kind=kind, T=T, dt=dt)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(deltas), cpus)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run(delta) for delta in deltas]
+    return _forked_map(run, deltas, workers)
+
+
+def _forked_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], each call in a forked child process and
+    at most ``workers`` at a time.
+
+    A child pickles its result, or the exception it raised, to a pipe and
+    exits.  No item starts after a failed one; once the children running
+    have ended, the failure of the first failed item is raised.  Every
+    child is reaped before this returns or raises.
+    """
+    import selectors
+    import signal
+
+    outcomes, running = {}, {}  # item index -> (ok, value); pipe -> (index, pid, chunks)
+    todo, failed = list(range(len(items)))[::-1], len(items)
+    sys.stdout.flush()  # or a child would inherit unwritten output and write it again
+    sys.stderr.flush()
+    with selectors.DefaultSelector() as ready:
+        try:
+            while True:
+                while todo and len(running) < workers and todo[-1] < failed:
+                    index = todo.pop()
+                    read, write = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(read)
+                        os.close(write)
+                        raise
+                    if pid == 0:
+                        _child(fn, items[index], read, write)
+                    os.close(write)
+                    running[read] = (index, pid, [])
+                    ready.register(read, selectors.EVENT_READ)
+                if not running:
+                    break
+                for key, _ in ready.select():
+                    index, pid, chunks = running[key.fd]
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
+                    ready.unregister(key.fd)
+                    os.close(key.fd)
+                    del running[key.fd]
+                    status = os.waitpid(pid, 0)[1]
+                    if chunks:
+                        ok, value = pickle.loads(b"".join(chunks))
+                    else:  # killed, or its outcome could not be pickled
+                        ok, value = False, RuntimeError(
+                            f"worker {pid} ended with wait status {status} and no result"
+                        )
+                    outcomes[index] = ok, value
+                    if not ok:
+                        failed = min(failed, index)
+        finally:
+            for read, (_, pid, _) in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+    if failed < len(items):
+        raise outcomes[failed][1]
+    return [outcomes[index][1] for index in range(len(items))]
+
+
+def _child(fn, item, read: int, write: int) -> None:
+    """The body of a forked child; it exits and never returns to its caller."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = (True, fn(item))
+        except Exception as exc:  # carried to the parent, which raises it
+            payload = (False, exc)
+        data = pickle.dumps(payload)  # whole before any byte is written
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)

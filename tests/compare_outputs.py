@@ -42,7 +42,9 @@ print(json.dumps(outcomes))
 # branches and verdicts the workloads leave out: the log-weight ihs kind, a
 # weight that fails (omega_inf above the threshold -3/2), a nonlinear evolve
 # whose potential power q - 2 is not 1, a ground state that fails to converge
-# (exit 2) and a stability run whose second delta overflows the perturbed mass
+# (exit 2), a stability run whose second delta overflows the perturbed mass,
+# and one whose two deltas both fail their first step (exit 2, the first
+# delta's error.json)
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
@@ -53,6 +55,8 @@ EXTRA_TASKS = [
                               "--tol", "1e-30", "--max-iter", "3"]),
     ("stability-delta-overflow", ["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
                                   "--T", "0.02", "--dt", "2e-3", "--delta", "0.01", "1e160"]),
+    ("stability-step-failing", ["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
+                                "--T", "1", "--dt", "100", "--delta", "0.5", "1"]),
 ]
 
 

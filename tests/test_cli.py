@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hardywaves
-from hardywaves import cli, errors, unit_ball_volume
+from hardywaves import cli, errors, stability, unit_ball_volume
 from hardywaves.cli import main
 
 
@@ -751,20 +751,54 @@ def test_error_json_carries_the_stamp(tmp_path):
 
 
 def test_failed_run_leaves_only_error_json(tmp_path, monkeypatch):
-    # the second delta run fails: the first one's CSV is not written either
-    run, calls = cli.stability_experiment, []
+    # the delta = 0.02 run fails, in a worker process or here: the first
+    # run's CSV is not written either, and error.json carries the failing
+    # run's diagnostics
+    run = stability.stability_experiment
 
-    def second_fails(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
-            raise errors.StepError("the second run failed")
-        return run(*args, **kwargs)
+    def fails_at_002(sw, delta, **kwargs):
+        if delta == 0.02:
+            raise errors.StepError("the 0.02 run failed", diagnostics={"delta": delta})
+        return run(sw, delta, **kwargs)
 
-    monkeypatch.setattr(cli, "stability_experiment", second_fails)
+    monkeypatch.setattr(stability, "stability_experiment", fails_at_002)
     out = tmp_path / "out"
     assert run_cli(["stability", *SMALL_GRID, "--delta", "0.01", "0.02", "--T", "0.02",
                     "--dt", "2e-3", "--outdir", str(out)]) == 2
     assert [p.name for p in out.iterdir()] == ["error.json"]
+    payload = read_json(out / "error.json")
+    assert payload["error"] == "StepError" and payload["message"] == "the 0.02 run failed"
+    assert payload["diagnostics"] == {"delta": 0.02}
+
+
+@pytest.mark.parametrize("code, argv, err", [
+    (0, ["--T", "0.02", "--dt", "2e-3", "--delta", "0.01", "0.02"], ""),
+    (1, ["--T", "0.02", "--dt", "2e-3", "--delta", "0.01", "1e160"],
+     "config error: delta = 1e+160 gives the perturbed field mass inf\n"),
+    (2, ["--T", "1", "--dt", "100", "--delta", "0.5", "1"],
+     "numerical failure: Crank-Nicolson midpoint iteration did not converge\n"),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_stability_leaves_no_process_or_output_behind(code, argv, err, tmp_path, capfd):
+    # the delta runs may go to worker processes: whatever the exit code,
+    # every one has been reaped, and nothing but main's line is printed
+    import multiprocessing
+
+    assert run_cli(["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30", *argv,
+                    "--outdir", str(tmp_path)]) == code
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert tuple(capfd.readouterr()) == ("", err)
+
+
+def test_step_count_above_bound_is_config_error(tmp_path, monkeypatch, capsys):
+    # T / dt = 1e203 is finite, and the run went on for practical eternity
+    _fail_if_solved(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli(["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
+                    "--T", "1e200", "--dt", "1e-3", "--outdir", str(out)]) == 1
+    assert "config error: T / dt must be finite and at most 1e+09" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_overflowing_step_count_is_config_error(tmp_path, monkeypatch, capsys):

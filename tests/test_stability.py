@@ -1,3 +1,7 @@
+import os
+import pickle
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -5,18 +9,21 @@ import pytest
 
 from hardywaves import (
     Field,
+    ParameterError,
     Params,
     ShapeError,
     StabilityRun,
+    StepError,
     WeightSpec,
     build_grid,
     normalized_gradient_flow,
     orbit_distance,
     stability_experiment,
 )
+from hardywaves import stability
 from hardywaves.evolve import initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
-from hardywaves.stability import PERTURBATION_KINDS, perturbed_field
+from hardywaves.stability import PERTURBATION_KINDS, _experiments, check_run, perturbed_field
 
 
 def test_orbit_distance_phase_invariance(wave2k):
@@ -149,6 +156,14 @@ def test_stability_rejects_overflowing_step_count(wave2k):
         stability_experiment(wave2k, 1e-2, T=1e308, dt=1e-10)
 
 
+def test_stability_rejects_step_count_above_bound():
+    # T / dt = 1e203 is finite, and its run went on for practical eternity
+    check_run([1e-2], 1e6, 1e-3)  # 1e9 steps, the bound
+    for T, dt in ((1e200, 1e-3), (1.001e6, 1e-3), (1e308, 1e-10)):
+        with pytest.raises(ParameterError, match="at most 1e"):
+            check_run([1e-2], T, dt)
+
+
 @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
 def test_stability_rejects_delta_that_overflows_the_mass(wave2k, kind):
     # an infinite perturbed mass renormalised the field to zero, and the
@@ -195,3 +210,76 @@ def test_array_records_compare_by_identity(wave2k, params33):
     for a, b in pairs:
         assert a == a and a != b
         assert len({a, b}) == 2
+
+
+def test_stability_run_stays_read_only_through_pickle():
+    # a run returned by a worker process is unpickled; its arrays used to
+    # come back writeable, since unpickling skipped __post_init__
+    run = StabilityRun(delta=0.1, times=[0.0, 1.0], distances=[0.0, 0.1],
+                       charge_drift=[0.0, 1e-16], energy_drift=[0.0, 2e-16])
+    back = pickle.loads(pickle.dumps(run))
+    assert back.delta == run.delta
+    for name in ("times", "distances", "charge_drift", "energy_drift"):
+        assert not getattr(back, name).flags.writeable
+        assert np.array_equal(getattr(back, name), getattr(run, name))
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_experiments_give_the_bits_of_one_process(wave2k, monkeypatch, cpus):
+    # one CPU runs the deltas here; more fork workers, whose runs must be
+    # the runs made here, in delta order
+    deltas, kind, T, dt = [1e-2, 0.0, 1e-3], "phase-ramp", 0.2, 1e-3
+    expected = [stability_experiment(wave2k, d, perturbation_kind=kind, T=T, dt=dt)
+                for d in deltas]
+    _cpus(monkeypatch, cpus)
+    runs = _experiments(wave2k, deltas, kind, T, dt)
+    assert [run.delta for run in runs] == deltas
+    for run, ref in zip(runs, expected):
+        for name in ("times", "distances", "charge_drift", "energy_drift"):
+            assert np.array_equal(getattr(run, name), getattr(ref, name))
+            assert not getattr(run, name).flags.writeable
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_experiments_raise_the_first_failing_delta(wave2k, monkeypatch, cpus):
+    # delta 3 fails first in time, but the loop here meets delta 2 first,
+    # and stops there: delta 2's class, message and diagnostics are raised
+    started = []
+
+    def run(sw, delta, **kwargs):
+        started.append(delta)
+        if delta == 2.0:
+            time.sleep(0.2)
+            raise StepError("delta 2 failed", diagnostics={"delta": delta, "pid": os.getpid()})
+        if delta == 3.0:
+            raise ParameterError("delta 3 failed")
+        return stability_experiment(sw, 0.0, T=0.01, dt=1e-3)
+
+    monkeypatch.setattr(stability, "stability_experiment", run)
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(StepError, match="delta 2 failed") as info:
+        _experiments(wave2k, [1.0, 2.0, 3.0, 4.0], "radial-bump", 0.01, 1e-3)
+    assert type(info.value) is StepError and info.value.diagnostics["delta"] == 2.0
+    assert (info.value.diagnostics["pid"] == os.getpid()) == (cpus == 1)
+    assert started == ([1.0, 2.0] if cpus == 1 else [])  # workers record in their own memory
+
+
+def test_experiments_report_a_worker_that_dies(wave2k, monkeypatch):
+    # a worker killed before it reports (by the kernel, say) leaves no
+    # result: that is an error, not a missing run
+    parent = os.getpid()
+
+    def killed(sw, delta, **kwargs):
+        assert os.getpid() != parent, "the run did not go to a worker"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(stability, "stability_experiment", killed)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="no result"):
+        _experiments(wave2k, [1.0, 2.0], "radial-bump", 0.01, 1e-3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
