@@ -34,7 +34,7 @@ from . import __version__
 from .checks import WeightSpec, check_ckn, check_hardy, check_ihs, check_weight_condition
 from .csvrows import BLOCK_ROWS, csv_rows
 from .errors import HardyWavesError, ParameterError
-from .evolve import _checkpoints, initial_state
+from .evolve import _MAX_STEPS, _checkpoints, initial_state
 from .groundstate import fit_origin, normalized_gradient_flow, origin_fit_window
 from .kelvin import kelvin_verify
 from .radial import Field, Params, build_grid, check_dimension, to_u
@@ -215,8 +215,8 @@ def _free_gaussian(grid, t: float) -> np.ndarray:
 def _cmd_evolve(cfg: dict) -> dict:
     """propagate a Gaussian in the transformed variable"""
     steps = cfg["steps"]
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    if not 1 <= steps <= _MAX_STEPS:
+        raise ParameterError(f"steps must be between 1 and {_MAX_STEPS:.0e}, got {steps}")
     grid = _grid_from(cfg)
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
     state = initial_state(v0, _params_from(cfg))

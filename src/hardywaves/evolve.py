@@ -64,6 +64,7 @@ from .radial import Field, Params
 
 __all__ = ["EvolutionState", "initial_state", "propagate", "invariants"]
 
+_MAX_STEPS = 1e9  # time steps per evolve or stability run; the default stability run takes 2e4
 _FP_TOL = 1e-12
 _FP_MAX = 50
 # error-estimate stop of the midpoint iteration: safety factor on the

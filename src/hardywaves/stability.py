@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import functools
 import os
-import pickle
-import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .evolve import _checkpoints, _start
+from .evolve import _MAX_STEPS, _checkpoints, _start
 from .groundstate import StandingWave, _renormalize
 from .operators import RadialOperator
 from .radial import Field
@@ -37,7 +35,6 @@ __all__ = ["StabilityRun", "orbit_distance", "stability_experiment", "PERTURBATI
 
 PERTURBATION_KINDS = ("radial-bump", "phase-ramp", "mass-preserving-deformation")
 _SAMPLES = 100  # orbit-distance samples per run
-_MAX_STEPS = 1e9  # time steps per run; FORMATS.md's default run takes 2e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,97 +166,35 @@ def stability_experiment(
 def _experiments(sw: StandingWave, deltas, kind: str, T: float, dt: float) -> list[StabilityRun]:
     """``stability_experiment`` of the wave for each delta, in delta order.
 
-    With more than one delta the runs go to forked worker processes, at
-    most one per usable CPU, when this process can fork them safely: it
-    knows its CPU affinity (Linux) and has one Python thread.  Otherwise
-    they run here, one after another.  A worker computes its run as this
-    process would, so both paths give the same bits, and a failure raises
-    what the loop here raises, the exception of the first failing delta.
+    With more than one delta the runs go to a pool of forked worker
+    processes, at most one per usable CPU, when this process can fork them
+    safely: it knows its CPU affinity (Linux) and has one Python thread.
+    Otherwise they run here, one after another.  The wave reaches the
+    workers through the fork, unpickled, so a worker computes its run as
+    this process would and both paths give the same bits; a failure raises
+    the exception of the first failing delta, as the loop here does.
     """
     run = functools.partial(stability_experiment, sw, perturbation_kind=kind, T=T, dt=dt)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(deltas), cpus)
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [run(delta) for delta in deltas]
-    return _forked_map(run, deltas, workers)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")  # by name: Python 3.14 changed the default
+    with ProcessPoolExecutor(max_workers=workers, mp_context=fork, initializer=_adopt,
+                             initargs=(run,)) as pool:
+        return list(pool.map(_run_adopted, deltas))
 
 
-def _forked_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], each call in a forked child process and
-    at most ``workers`` at a time.
-
-    A child pickles its result, or the exception it raised, to a pipe and
-    exits.  No item starts after a failed one; once the children running
-    have ended, the failure of the first failed item is raised.  Every
-    child is reaped before this returns or raises.
-    """
-    import selectors
-    import signal
-
-    outcomes, running = {}, {}  # item index -> (ok, value); pipe -> (index, pid, chunks)
-    todo, failed = list(range(len(items)))[::-1], len(items)
-    sys.stdout.flush()  # or a child would inherit unwritten output and write it again
-    sys.stderr.flush()
-    with selectors.DefaultSelector() as ready:
-        try:
-            while True:
-                while todo and len(running) < workers and todo[-1] < failed:
-                    index = todo.pop()
-                    read, write = os.pipe()
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        os.close(read)
-                        os.close(write)
-                        raise
-                    if pid == 0:
-                        _child(fn, items[index], read, write)
-                    os.close(write)
-                    running[read] = (index, pid, [])
-                    ready.register(read, selectors.EVENT_READ)
-                if not running:
-                    break
-                for key, _ in ready.select():
-                    index, pid, chunks = running[key.fd]
-                    chunk = os.read(key.fd, 1 << 16)
-                    if chunk:
-                        chunks.append(chunk)
-                        continue
-                    ready.unregister(key.fd)
-                    os.close(key.fd)
-                    del running[key.fd]
-                    status = os.waitpid(pid, 0)[1]
-                    if chunks:
-                        ok, value = pickle.loads(b"".join(chunks))
-                    else:  # killed, or its outcome could not be pickled
-                        ok, value = False, RuntimeError(
-                            f"worker {pid} ended with wait status {status} and no result"
-                        )
-                    outcomes[index] = ok, value
-                    if not ok:
-                        failed = min(failed, index)
-        finally:
-            for read, (_, pid, _) in running.items():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(read)
-    if failed < len(items):
-        raise outcomes[failed][1]
-    return [outcomes[index][1] for index in range(len(items))]
+_adopted = None  # a worker's run, set through the fork
 
 
-def _child(fn, item, read: int, write: int) -> None:
-    """The body of a forked child; it exits and never returns to its caller."""
-    status = 1
-    try:
-        os.close(read)
-        try:
-            payload = (True, fn(item))
-        except Exception as exc:  # carried to the parent, which raises it
-            payload = (False, exc)
-        data = pickle.dumps(payload)  # whole before any byte is written
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+def _adopt(run) -> None:
+    global _adopted
+    _adopted = run
+
+
+def _run_adopted(delta: float) -> StabilityRun:
+    return _adopted(delta)

@@ -43,8 +43,9 @@ print(json.dumps(outcomes))
 # weight that fails (omega_inf above the threshold -3/2), a nonlinear evolve
 # whose potential power q - 2 is not 1, a ground state that fails to converge
 # (exit 2), a stability run whose second delta overflows the perturbed mass,
-# and one whose two deltas both fail their first step (exit 2, the first
-# delta's error.json)
+# one whose two deltas both fail their first step (exit 2, the first
+# delta's error.json), and one with more deltas than a 4-CPU machine has
+# workers, so that its runs queue
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
@@ -57,6 +58,9 @@ EXTRA_TASKS = [
                                   "--T", "0.02", "--dt", "2e-3", "--delta", "0.01", "1e160"]),
     ("stability-step-failing", ["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
                                 "--T", "1", "--dt", "100", "--delta", "0.5", "1"]),
+    ("stability-queued", ["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
+                          "--T", "0.2", "--dt", "2e-3", "--delta", "0", "1e-3", "1e-2", "2e-2",
+                          "5e-2"]),
 ]
 
 

@@ -801,6 +801,21 @@ def test_step_count_above_bound_is_config_error(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_evolve_step_count_above_bound_is_config_error(tmp_path, monkeypatch, capsys):
+    # 1e14 steps had no bound and ran for practical eternity
+    from hardywaves import evolve
+
+    def propagate(*args, **kwargs):
+        raise AssertionError("evolve propagated a step count it cannot finish")
+
+    monkeypatch.setattr(evolve, "propagate", propagate)
+    out = tmp_path / "out"
+    assert run_cli(["evolve", "--n", "256", "--r-min", "1e-4", "--r-max", "30", "--linear",
+                    "--steps", "100000000000000", "--dt", "1e-3", "--outdir", str(out)]) == 1
+    assert "config error: steps must be between 1 and 1e+09" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_overflowing_step_count_is_config_error(tmp_path, monkeypatch, capsys):
     # T / (100 dt) = inf used to overflow the step count after the solve
     _fail_if_solved(monkeypatch)
@@ -834,7 +849,8 @@ def test_log_weight_support_message_names_its_bound(tmp_path, capsys):
 
 
 # one small run of each command in a fresh interpreter, then the scipy
-# packages that would double a process's start-up must still be unloaded
+# packages that would double a process's start-up, and the process pool's
+# modules, which only a multi-delta stability call needs, must still be unloaded
 _EVERY_COMMAND = """
 import json, sys
 from hardywaves import cli
@@ -848,7 +864,8 @@ for k, argv in enumerate([
     ["kelvin-verify", "--n", "256", "--samples", "2"],
 ]):
     assert cli.main([*argv, "--outdir", f"{out}/{k}"]) == 0, argv
-print(json.dumps([m for m in ("scipy.linalg", "scipy._lib._array_api") if m in sys.modules]))
+unloaded = ("scipy.linalg", "scipy._lib._array_api", "concurrent.futures", "multiprocessing")
+print(json.dumps([m for m in unloaded if m in sys.modules]))
 """
 
 

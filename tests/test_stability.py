@@ -1,6 +1,7 @@
 import os
 import pickle
 import signal
+import threading
 import time
 from dataclasses import replace
 
@@ -268,6 +269,28 @@ def test_experiments_raise_the_first_failing_delta(wave2k, monkeypatch, cpus):
     assert started == ([1.0, 2.0] if cpus == 1 else [])  # workers record in their own memory
 
 
+def test_experiments_stay_in_one_process_beside_a_thread(wave2k, monkeypatch):
+    # fork copies only the calling thread, so a second Python thread keeps
+    # every run here, whatever the CPU count
+    pids = []
+
+    def run(sw, delta, **kwargs):
+        pids.append(os.getpid())
+        return stability_experiment(sw, 0.0, T=0.01, dt=1e-3)
+
+    monkeypatch.setattr(stability, "stability_experiment", run)
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        runs = _experiments(wave2k, [1.0, 2.0, 3.0], "radial-bump", 0.01, 1e-3)
+    finally:
+        release.set()
+        waiter.join()
+    assert len(runs) == 3 and pids == [os.getpid()] * 3
+
+
 def test_experiments_report_a_worker_that_dies(wave2k, monkeypatch):
     # a worker killed before it reports (by the kernel, say) leaves no
     # result: that is an error, not a missing run
@@ -279,7 +302,7 @@ def test_experiments_report_a_worker_that_dies(wave2k, monkeypatch):
 
     monkeypatch.setattr(stability, "stability_experiment", killed)
     _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="no result"):
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
         _experiments(wave2k, [1.0, 2.0], "radial-bump", 0.01, 1e-3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
