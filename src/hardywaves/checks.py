@@ -57,12 +57,13 @@ class WeightSpec:
         return r**self.omega_zero * (1.0 + r) ** (self.omega_inf - self.omega_zero)
 
 
-def _report(sample_count: int, violating: dict | None, **payload) -> dict:
+def _report(infos: list, least_of: np.ndarray | None = None, **payload) -> dict:
     """A check's FORMATS.md payload: ``payload`` plus ``n_samples`` and, when
-    one was found, ``violating_sample``."""
-    payload["n_samples"] = sample_count
-    if violating is not None:
-        payload["violating_sample"] = violating
+    the check failed on the per-sample values ``least_of``, ``violating_sample``:
+    the first sample at their least value."""
+    payload["n_samples"] = len(infos)
+    if least_of is not None and not payload["passed"]:
+        payload["violating_sample"] = infos[int(np.argmin(least_of))]
     return payload
 
 
@@ -100,6 +101,17 @@ def random_fields(
         yield info, Field(values=values, grid=grid)
 
 
+def _sampled(grid: RadialGrid, count: int, seed: int, measure, support=None):
+    """Walk the bump ensemble once: the sample infos and an array holding
+    ``measure(v)`` of each sample field v, one entry per sample along its
+    last axis (a measure that returns k numbers gives k rows)."""
+    infos, values = [], []
+    for info, v in random_fields(grid, count, seed, support):
+        infos.append(info)
+        values.append(measure(v))
+    return infos, np.array(values).T
+
+
 def check_hardy(
     sample_count: int,
     seed: int,
@@ -112,21 +124,16 @@ def check_hardy(
     min_hardy_functional is the smallest I(u) found (passed when >= -1e-8)
     and max_identity_mismatch the worst relative identity mismatch.
     """
-    min_i = np.inf
-    worst_mismatch = 0.0
-    violating = None
-    for info, v in random_fields(grid, sample_count, seed):
-        u = to_u(v, N)
-        hardy = hardy_functional_u(u, N, eps=grid.r_min)
+
+    def hardy_and_mismatch(v: Field) -> tuple[float, float]:
+        hardy = hardy_functional_u(to_u(v, N), N, eps=grid.r_min)
         dirichlet = weighted_dirichlet(v, N)
-        if dirichlet > 0.0:
-            worst_mismatch = max(worst_mismatch, abs(hardy - dirichlet) / dirichlet)
-        if hardy < min_i:
-            min_i = hardy
-            if hardy < -1e-8:
-                violating = info
-    return _report(sample_count, violating, min_hardy_functional=float(min_i),
-                   max_identity_mismatch=float(worst_mismatch), passed=bool(min_i >= -1e-8))
+        return hardy, abs(hardy - dirichlet) / dirichlet if dirichlet > 0.0 else 0.0
+
+    infos, (hardy, mismatch) = _sampled(grid, sample_count, seed, hardy_and_mismatch)
+    least = float(hardy.min())
+    return _report(infos, hardy, min_hardy_functional=least,
+                   max_identity_mismatch=float(mismatch.max()), passed=least >= -1e-8)
 
 
 def _ckn_ratio(op: RadialOperator, v: np.ndarray) -> float:
@@ -152,14 +159,10 @@ def check_ckn(
     """
     # the inequality has g == 1
     op = RadialOperator(grid, Params(N=params.N, q=params.q, gamma=params.gamma))
-    worst = 0.0
-    least = np.inf
-    for _, v in random_fields(grid, sample_count, seed):
-        ratio = _ckn_ratio(op, v.values)
-        worst = max(worst, ratio)
-        least = min(least, ratio)
-    return _report(sample_count, None, empirical_constant=float(worst),
-                   min_ratio=float(least), passed=bool(np.isfinite(worst)))
+    infos, ratios = _sampled(grid, sample_count, seed, lambda v: _ckn_ratio(op, v.values))
+    worst = float(ratios.max())
+    return _report(infos, empirical_constant=worst, min_ratio=float(ratios.min()),
+                   passed=math.isfinite(worst))
 
 
 def check_weight_condition(spec: WeightSpec, N: int, q: float) -> dict:
@@ -240,20 +243,13 @@ def check_ihs(
     h_vals = _ihs_weight(h_kind, grid.nodes, N, ball_radius)
     sphere = N * unit_ball_volume(N)
 
-    least = np.inf
-    violating = None
-    for info, v in random_fields(grid, sample_count, seed, support=support):
-        h_norm = np.sqrt(
-            weighted_dirichlet(v, N) + integrate_mu(np.abs(v.values) ** 2, grid, N)
-        )
+    def ratio(v: Field) -> float:
+        h_norm = np.sqrt(weighted_dirichlet(v, N) + integrate_mu(np.abs(v.values) ** 2, grid, N))
         # int h |phi|^{2*} dx reduces to sum w h |v|^{2*} r^{-2} against r dr
         rhs_int = sphere * grid.quadrature(h_vals * np.abs(v.values) ** two_star / grid.nodes**2)
-        if rhs_int <= 0.0:
-            continue
-        ratio = h_norm / rhs_int ** ((N - 2.0) / N)
-        if ratio < least:
-            least = ratio
-            if ratio <= 0.0:
-                violating = info
-    return _report(sample_count, violating, min_ratio=float(least),
-                   empirical_constant=float(least), passed=bool(least > 0.0))
+        # a sample outside the support of h bounds nothing
+        return h_norm / rhs_int ** ((N - 2.0) / N) if rhs_int > 0.0 else np.inf
+
+    infos, ratios = _sampled(grid, sample_count, seed, ratio, support)
+    least = float(ratios.min())
+    return _report(infos, ratios, min_ratio=least, empirical_constant=least, passed=least > 0.0)

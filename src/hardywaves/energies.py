@@ -81,8 +81,8 @@ def hardy_functional_u(u: Field, N: int, eps: float) -> float:
     zero-extension tail cell at r_max.
     """
     grid = u.grid
-    if eps < grid.r_min:
-        raise DomainError(f"eps={eps} below the grid's r_min={grid.r_min}")
+    if not (grid.r_min <= eps <= grid.r_max):
+        raise DomainError(f"eps={eps} outside grid range [{grid.r_min}, {grid.r_max}]")
     x = grid.log_nodes
     total = float(np.sum(hardy_cells(x, u.values, N)[grid.nodes[:-1] >= eps]))
     # zero ghost node beyond r_max, one cell wide

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import random_fields
+from .checks import _sampled
 from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
 from .radial import Field, RadialGrid, check_dimension, integrate_mu, to_u, to_v, unit_ball_volume
 
@@ -98,19 +98,20 @@ def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
     carry the critical r^{-(N-2)/2} factor.  Passed when both relative
     errors are small: involution < 1e-12 (node-exact), norms < 1e-6."""
     N = check_dimension(N)
-    worst_inv = 0.0
-    worst_iso = 0.0
-    for _, bumps in random_fields(grid, samples, seed):
+
+    def errors(bumps: Field) -> tuple[float, float]:
         w = to_u(bumps, N)
         psi = kelvin_transform(w, N)
         back = kelvin_transform(psi, N)
         scale = float(np.max(np.abs(w.values))) or 1.0
-        worst_inv = max(worst_inv, float(np.max(np.abs(back.values - w.values))) / scale)
-
         wn = w_norm(w, N).value
         psi_mass = integrate_mu(np.abs(to_v(psi, N).values) ** 2, psi.grid, N)
         hn = hardy_functional_u(psi, N, eps=psi.grid.r_min) + psi_mass
-        worst_iso = max(worst_iso, abs(wn - hn) / max(abs(hn), 1e-300))
+        return (float(np.max(np.abs(back.values - w.values))) / scale,
+                abs(wn - hn) / max(abs(hn), 1e-300))
+
+    _, (involution, mismatch) = _sampled(grid, samples, seed, errors)
+    worst_inv, worst_iso = float(involution.max()), float(mismatch.max())
     return {
         "samples": samples,
         "max_involution_error": worst_inv,

@@ -172,7 +172,7 @@ def _experiments(sw: StandingWave, deltas, kind: str, T: float, dt: float) -> li
     Otherwise they run here, one after another.  The wave reaches the
     workers through the fork, unpickled, so a worker computes its run as
     this process would and both paths give the same bits; a failure raises
-    the exception of the first failing delta, as the loop here does.
+    the first failing delta's exception and, like an interrupt, kills the workers.
     """
     run = functools.partial(stability_experiment, sw, perturbation_kind=kind, T=T, dt=dt)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -185,7 +185,12 @@ def _experiments(sw: StandingWave, deltas, kind: str, T: float, dt: float) -> li
     fork = multiprocessing.get_context("fork")  # by name: Python 3.14 changed the default
     with ProcessPoolExecutor(max_workers=workers, mp_context=fork, initializer=_adopt,
                              initargs=(run,)) as pool:
-        return list(pool.map(_run_adopted, deltas))
+        try:
+            return list(pool.map(_run_adopted, deltas))
+        except BaseException:  # KeyboardInterrupt too: shutdown would wait for running runs
+            for worker in list(pool._processes.values()):  # Python 3.14 has pool.kill_workers()
+                worker.kill()
+            raise
 
 
 _adopted = None  # a worker's run, set through the fork

@@ -16,6 +16,7 @@ from hardywaves import (
     to_u,
     weighted_dirichlet,
 )
+from hardywaves import checks
 from hardywaves.checks import _ckn_ratio, random_fields
 from hardywaves.operators import RadialOperator
 
@@ -29,6 +30,25 @@ def test_hardy_check_nonnegative_and_identity(grid8k):
     assert report["passed"] is True  # min_hardy_functional >= -1e-8
     assert report["max_identity_mismatch"] < 1e-6
     assert "violating_sample" not in report
+
+
+def test_hardy_check_names_the_first_sample_at_the_minimum(grid2k, monkeypatch):
+    # samples 1 and 3 tie at the least value, below -1e-8: the report names 1
+    values = iter([0.5, -0.25, 0.1, -0.25, 0.3])
+    monkeypatch.setattr(checks, "hardy_functional_u", lambda u, N, eps: next(values))
+    report = check_hardy(5, seed=7, N=3, grid=grid2k)
+    assert report["passed"] is False and report["min_hardy_functional"] == -0.25
+    assert report["violating_sample"] == list(random_fields(grid2k, 5, 7))[1][0]
+
+
+def test_ihs_check_names_the_first_sample_at_the_minimum(grid2k, monkeypatch):
+    # a zero energy norm gives samples 1 and 3 the nonpositive ratio 0
+    masses = iter([1.0, 0.0, 2.0, 0.0, 1.0])
+    monkeypatch.setattr(checks, "weighted_dirichlet", lambda v, N: 0.0)
+    monkeypatch.setattr(checks, "integrate_mu", lambda f, grid, N: next(masses))
+    report = check_ihs(5, seed=7, N=3, grid=grid2k)
+    assert report["passed"] is False and report["min_ratio"] == 0.0
+    assert report["violating_sample"] == list(random_fields(grid2k, 5, 7))[1][0]
 
 
 def test_hardy_strictly_positive_for_bump(grid8k):
@@ -95,6 +115,17 @@ def test_ckn_report_and_q_range(grid8k, params33):
     assert 0.0 < report["min_ratio"] <= report["empirical_constant"]
     with pytest.raises(ParameterError):
         Params(N=3, q=6.5)  # outside 2 < q < 2N/(N-2)
+
+
+def test_checks_reduce_what_a_loop_over_the_samples_sees(grid2k, params33):
+    # the reference: a plain loop over the ensemble and min/max of its values
+    fields = [v for _, v in random_fields(grid2k, 20, 3)]
+    hardy = [hardy_functional_u(to_u(v, 3), 3, grid2k.r_min) for v in fields]
+    op = RadialOperator(grid2k, params33)
+    ratios = [_ckn_ratio(op, v.values) for v in fields]
+    assert check_hardy(20, seed=3, N=3, grid=grid2k)["min_hardy_functional"] == min(hardy)
+    ckn = check_ckn(20, seed=3, params=params33, grid=grid2k)
+    assert (ckn["min_ratio"], ckn["empirical_constant"]) == (min(ratios), max(ratios))
 
 
 # ---------------------------------------------------------------------------

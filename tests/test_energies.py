@@ -99,8 +99,9 @@ def test_hardy_functional_of_last_node_field(grid2k, N, a):
 
 def test_hardy_domain_error(grid2k):
     u = Field(values=np.zeros(grid2k.n), grid=grid2k)
-    with pytest.raises(DomainError):
-        hardy_functional_u(u, 3, grid2k.r_min / 10.0)
+    for eps in (grid2k.r_min / 10.0, 2.0 * grid2k.r_max):  # below and above the grid
+        with pytest.raises(DomainError):
+            hardy_functional_u(u, 3, eps)
 
 
 # ---------------------------------------------------------------------------

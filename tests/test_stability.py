@@ -1,9 +1,13 @@
+import contextlib
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from hardywaves import (
     orbit_distance,
     stability_experiment,
 )
+import hardywaves
 from hardywaves import stability
 from hardywaves.evolve import initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
@@ -306,3 +311,47 @@ def test_experiments_report_a_worker_that_dies(wave2k, monkeypatch):
         _experiments(wave2k, [1.0, 2.0], "radial-bump", 0.01, 1e-3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+_INTERRUPTED = """
+import os, sys, time
+from hardywaves import stability
+
+def run(sw, delta, **kwargs):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(30)
+
+stability.stability_experiment = run
+os.sched_getaffinity = lambda pid: {0, 1}
+stability._experiments(None, [1.0, 2.0], "radial-bump", 1.0, 1e-3)
+"""
+
+
+def test_an_interrupt_stops_the_workers(tmp_path):
+    # SIGINT to the parent alone: the pool's shutdown would wait for the
+    # running runs, so the call must kill its workers to end soon
+    src = str(Path(hardywaves.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED, str(tmp_path)],
+                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30.0
+        while len(os.listdir(tmp_path)) < 2:  # each worker marks its run with its pid
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        assert str(proc.pid) not in os.listdir(tmp_path)
+        proc.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        proc.wait(timeout=10.0)
+        assert time.monotonic() - start < 5.0 and proc.returncode != 0
+        with pytest.raises(ProcessLookupError):  # nothing is left in the run's session
+            os.killpg(proc.pid, 0)
+    finally:
+        if proc.poll() is None:  # workers first, so that the parent reaps them
+            for pid in os.listdir(tmp_path):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid), signal.SIGKILL)
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=10.0)
+            proc.kill()
+            proc.wait()
