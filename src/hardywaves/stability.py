@@ -12,14 +12,18 @@ product (Dirichlet + weighted mass).
 
 A stability run has one problem, the wave's: perturbation, evolution and
 orbit distance all run on the operator the wave was solved on.  The runs of
-one wave share nothing they write, so ``_experiments`` may run them in
-forked worker processes; each gives the bits it gives alone.
+one wave share nothing they write, so ``_experiments`` runs the first here
+and may hand the rest to forked worker processes, which die with this
+process; each run gives the bits it gives alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
+import signal
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -72,14 +76,24 @@ def orbit_distance(v: Field, sw: StandingWave) -> float:
     """Distance from v to the phase orbit of the standing wave, in the
     energy norm.
 
-    The optimal phase is theta* = arg <v, v_g>_H, in closed form; the norm
-    of the explicit difference v - e^{i theta*} v_g then avoids the
-    catastrophic cancellation of the expanded formula near the orbit.
+    The optimal phase is theta* = arg <v, v_g>_H, in closed form, with
+    <v, v_g>_H = N omega_N v . (K + M) v_g; the norm of the explicit
+    difference v - e^{i theta*} v_g then avoids the catastrophic
+    cancellation of the expanded formula near the orbit.
     """
     op = sw.op
-    a = op.check_field(v)
-    b = sw.v.values
-    inner = op.h_inner(a, b)
+    return _distance(op, op.check_field(v), sw.v.values, _h_apply(op, sw.v.values))
+
+
+def _h_apply(op: RadialOperator, b: np.ndarray) -> np.ndarray:
+    """(K + M) b, which takes <a, b>_H in one dot product with a."""
+    return op.stiffness_apply(b) + op.mass_diag * b
+
+
+def _distance(op: RadialOperator, a: np.ndarray, b: np.ndarray, hb: np.ndarray) -> float:
+    """``orbit_distance`` of the nodal values a from the orbit of b, for
+    hb = ``_h_apply(op, b)``."""
+    inner = np.vdot(hb, a)  # <a, b>_H / (N omega_N): the positive factor leaves the phase
     phase = np.exp(1j * np.angle(inner)) if inner != 0.0 else 1.0
     return float(np.sqrt(op.h_norm_sq(a - phase * b)))
 
@@ -146,11 +160,13 @@ def stability_experiment(
     the orbit distance, in its energy norm, at 100 uniformly spaced times."""
     check_run([delta], T, dt)
     sw.params.require_subcritical("stability experiments")
-    start = _start(sw.op, perturbed_field(sw, delta, perturbation_kind))
+    op, wave = sw.op, sw.v.values
+    start = _start(op, perturbed_field(sw, delta, perturbation_kind))
     steps_per_sample = max(1, int(round(T / (_SAMPLES * dt))))
     chunks = [steps_per_sample] * _SAMPLES
+    h_wave = _h_apply(op, wave)
     samples = [
-        (state.time, orbit_distance(state.v, sw), charge_drift, energy_drift)
+        (state.time, _distance(op, state.v.values, wave, h_wave), charge_drift, energy_drift)
         for state, _, _, charge_drift, energy_drift in _checkpoints(start, dt, chunks)
     ]
     times, distances, charge_drift, energy_drift = np.array(samples).T
@@ -166,27 +182,30 @@ def stability_experiment(
 def _experiments(sw: StandingWave, deltas, kind: str, T: float, dt: float) -> list[StabilityRun]:
     """``stability_experiment`` of the wave for each delta, in delta order.
 
-    With more than one delta the runs go to a pool of forked worker
-    processes, at most one per usable CPU, when this process can fork them
-    safely: it knows its CPU affinity (Linux) and has one Python thread.
-    Otherwise they run here, one after another.  The wave reaches the
-    workers through the fork, unpickled, so a worker computes its run as
-    this process would and both paths give the same bits; a failure raises
-    the first failing delta's exception and, like an interrupt, kills the workers.
+    With more than one delta, when this process can fork safely (it knows
+    its CPU affinity, Linux, has more than one usable CPU and one Python
+    thread), the deltas after the first go to a pool of forked worker
+    processes, at most one per usable CPU, and this process runs the first
+    meanwhile.  Otherwise all run here, one after another.  The wave
+    reaches the workers through the fork, unpickled, so a worker computes
+    its run as this process would and both places give the same bits.  A
+    failure raises the first failing delta's exception and, like an
+    interrupt, kills the workers; a worker also dies when this process does.
     """
     run = functools.partial(stability_experiment, sw, perturbation_kind=kind, T=T, dt=dt)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(deltas), cpus)
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    workers = min(len(deltas) - 1, cpus)
+    if cpus < 2 or workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [run(delta) for delta in deltas]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     fork = multiprocessing.get_context("fork")  # by name: Python 3.14 changed the default
     with ProcessPoolExecutor(max_workers=workers, mp_context=fork, initializer=_adopt,
-                             initargs=(run,)) as pool:
+                             initargs=(run, os.getpid())) as pool:
         try:
-            return list(pool.map(_run_adopted, deltas))
+            futures = [pool.submit(_run_adopted, delta) for delta in deltas[1:]]
+            return [run(deltas[0]), *(future.result() for future in futures)]
         except BaseException:  # KeyboardInterrupt too: shutdown would wait for running runs
             for worker in list(pool._processes.values()):  # Python 3.14 has pool.kill_workers()
                 worker.kill()
@@ -194,11 +213,19 @@ def _experiments(sw: StandingWave, deltas, kind: str, T: float, dt: float) -> li
 
 
 _adopted = None  # a worker's run, set through the fork
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _adopt(run) -> None:
+def _adopt(run, parent: int) -> None:
+    """Worker initializer: keep the run, and on Linux have the kernel
+    SIGKILL this worker when its parent dies (a parent that dies before
+    the request leaves the worker adopted, so it exits at once)."""
     global _adopted
     _adopted = run
+    if sys.platform.startswith("linux"):
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            os._exit(1)
 
 
 def _run_adopted(delta: float) -> StabilityRun:

@@ -5,6 +5,8 @@ shares no code with ``hardywaves.groundstate`` and reads the discrete
 problem only through the operator's public forms and solves.
 ``cayley_reference`` solves one Crank-Nicolson stage in extended precision
 from the operator's bands alone, without its LAPACK solves.
+``orbit_distance_reference`` takes the orbit distance's phase from the
+operator's two-part energy inner product.
 """
 
 from dataclasses import dataclass
@@ -142,3 +144,12 @@ def cayley_reference(op, potential, v, dt):
     for i in range(n - 2, -1, -1):
         rhs[i] -= c[i] * rhs[i + 1]
     return rhs
+
+
+def orbit_distance_reference(op: RadialOperator, v: np.ndarray, wave: np.ndarray) -> float:
+    """Energy-norm distance from v to the phase orbit of the wave, with the
+    optimal phase arg <v, wave>_H from ``op.h_inner`` (Dirichlet part plus
+    mass part) and the norm of the explicit difference."""
+    inner = op.h_inner(v, wave)
+    phase = np.exp(1j * np.angle(inner)) if inner != 0.0 else 1.0
+    return float(np.sqrt(op.h_norm_sq(v - phase * wave)))

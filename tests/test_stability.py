@@ -30,6 +30,7 @@ from hardywaves import stability
 from hardywaves.evolve import initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import PERTURBATION_KINDS, _experiments, check_run, perturbed_field
+from oracle import orbit_distance_reference
 
 
 def test_orbit_distance_phase_invariance(wave2k):
@@ -59,6 +60,19 @@ def test_orbit_distance_pythagoras(wave2k, params33):
     perturbed = wave2k.v.with_values(vg + w)
     expected = np.sqrt(op.h_norm_sq(w))
     assert abs(orbit_distance(perturbed, wave2k) - expected) < 1e-9 * expected
+
+
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_orbit_distance_matches_the_two_part_inner_product(wave2k, params33, kind):
+    # the phase from one dot product with (K + M) v_g is the phase from the
+    # Dirichlet and mass inner products, along runs of each size
+    op, wave = wave2k.op, wave2k.v.values
+    for delta in (0.0, 1e-3, 1e-2):
+        state = initial_state(perturbed_field(wave2k, delta, kind), params33)
+        for _ in range(4):
+            expected = orbit_distance_reference(op, state.v.values, wave)
+            assert abs(orbit_distance(state.v, wave2k) - expected) <= 1e-12 * expected
+            state = propagate(state, 1e-3, 100)
 
 
 def test_orbit_distance_grid_mismatch(wave2k):
@@ -271,7 +285,19 @@ def test_experiments_raise_the_first_failing_delta(wave2k, monkeypatch, cpus):
         _experiments(wave2k, [1.0, 2.0, 3.0, 4.0], "radial-bump", 0.01, 1e-3)
     assert type(info.value) is StepError and info.value.diagnostics["delta"] == 2.0
     assert (info.value.diagnostics["pid"] == os.getpid()) == (cpus == 1)
-    assert started == ([1.0, 2.0] if cpus == 1 else [])  # workers record in their own memory
+    # delta 1 runs here on any CPU count; workers record in their own memory
+    assert started == ([1.0, 2.0] if cpus == 1 else [1.0])
+
+
+def test_experiments_run_the_first_delta_here(wave2k, monkeypatch):
+    # the calling process runs the first delta while the workers run the rest
+    monkeypatch.setattr(stability, "stability_experiment",
+                        lambda sw, delta, **kwargs: (delta, os.getpid()))
+    _cpus(monkeypatch, 2)
+    marks = _experiments(wave2k, [1.0, 2.0, 3.0], "radial-bump", 0.01, 1e-3)
+    assert [delta for delta, _ in marks] == [1.0, 2.0, 3.0]
+    assert marks[0][1] == os.getpid()
+    assert all(pid != os.getpid() for _, pid in marks[1:])
 
 
 def test_experiments_stay_in_one_process_beside_a_thread(wave2k, monkeypatch):
@@ -302,6 +328,9 @@ def test_experiments_report_a_worker_that_dies(wave2k, monkeypatch):
     parent = os.getpid()
 
     def killed(sw, delta, **kwargs):
+        if delta == 1.0:  # the first delta runs here and returns
+            assert os.getpid() == parent, "the first delta went to a worker"
+            return stability_experiment(sw, 0.0, T=0.01, dt=1e-3)
         assert os.getpid() != parent, "the run did not go to a worker"
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -313,7 +342,7 @@ def test_experiments_report_a_worker_that_dies(wave2k, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-_INTERRUPTED = """
+_MARKED_RUNS = """
 import os, sys, time
 from hardywaves import stability
 
@@ -323,23 +352,59 @@ def run(sw, delta, **kwargs):
 
 stability.stability_experiment = run
 os.sched_getaffinity = lambda pid: {0, 1}
-stability._experiments(None, [1.0, 2.0], "radial-bump", 1.0, 1e-3)
+stability._experiments(None, [float(d) for d in sys.argv[2:]], "radial-bump", 1.0, 1e-3)
 """
+
+
+def _start_marked_runs(tmp_path, deltas, ready):
+    """A process whose _experiments runs each delta as a 30-s sleep that
+    first marks its pid in tmp_path, returned once ``ready(marked pids,
+    its pid)`` holds."""
+    src = str(Path(hardywaves.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _MARKED_RUNS, str(tmp_path), *deltas],
+                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 30.0
+    while not ready({int(pid) for pid in os.listdir(tmp_path)}, proc.pid):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            _stop(proc, tmp_path)
+            pytest.fail("the runs did not all start")
+        time.sleep(0.02)
+    return proc
+
+
+def _stop(proc, tmp_path):
+    """Kill what is left of a marked-runs process, workers first, so that
+    the parent reaps them."""
+    workers = [int(pid) for pid in os.listdir(tmp_path) if int(pid) != proc.pid]
+    if proc.poll() is None:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=10.0)
+        proc.kill()
+        proc.wait()
+    for pid in filter(_alive, workers):  # orphans, once the parent is gone
+        os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether the process runs: it exists and is not a zombie, which an
+    init that does not reap would leave behind."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 def test_an_interrupt_stops_the_workers(tmp_path):
     # SIGINT to the parent alone: the pool's shutdown would wait for the
     # running runs, so the call must kill its workers to end soon
-    src = str(Path(hardywaves.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED, str(tmp_path)],
-                            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = _start_marked_runs(tmp_path, ["1", "2"], lambda marks, parent: len(marks) == 2)
     try:
-        deadline = time.monotonic() + 30.0
-        while len(os.listdir(tmp_path)) < 2:  # each worker marks its run with its pid
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.02)
-        assert str(proc.pid) not in os.listdir(tmp_path)
+        assert str(proc.pid) in os.listdir(tmp_path)  # the first delta runs in the parent
         proc.send_signal(signal.SIGINT)
         start = time.monotonic()
         proc.wait(timeout=10.0)
@@ -347,11 +412,23 @@ def test_an_interrupt_stops_the_workers(tmp_path):
         with pytest.raises(ProcessLookupError):  # nothing is left in the run's session
             os.killpg(proc.pid, 0)
     finally:
-        if proc.poll() is None:  # workers first, so that the parent reaps them
-            for pid in os.listdir(tmp_path):
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(int(pid), signal.SIGKILL)
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                proc.wait(timeout=10.0)
-            proc.kill()
-            proc.wait()
+        _stop(proc, tmp_path)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="parent-death signal is Linux's")
+def test_workers_die_with_a_killed_parent(tmp_path):
+    # SIGKILL to the parent alone (the OOM killer, say) runs nothing there:
+    # the kernel must kill the workers, which would otherwise sleep for ever
+    proc = _start_marked_runs(tmp_path, ["1", "2", "3"],
+                              lambda marks, parent: len(marks - {parent}) == 2)
+    try:
+        workers = [int(pid) for pid in os.listdir(tmp_path) if int(pid) != proc.pid]
+        assert len(workers) == 2
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)):
+            assert time.monotonic() < deadline, "a worker outlived its parent"
+            time.sleep(0.02)
+    finally:
+        _stop(proc, tmp_path)
