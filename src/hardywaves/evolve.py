@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .energies import _energy_report
 from .errors import BlowupError, ParameterError, StepError
 from .operators import RadialOperator
 from .radial import Field, Params
@@ -109,15 +110,16 @@ def initial_state(v: Field, params: Params) -> EvolutionState:
 def _start(op: RadialOperator, v: Field) -> EvolutionState:
     """Initial state of v on an operator that is already assembled."""
     vals = op.check_field(v).astype(complex)
+    report = _energy_report(op, vals)
     return EvolutionState(
-        v=v.with_values(vals), time=0.0, charge0=op.mass(vals), energy0=op.energy(vals), op=op
+        v=v.with_values(vals), time=0.0, charge0=report.mass_mu, energy0=report.E, op=op
     )
 
 
 def invariants(state: EvolutionState) -> tuple[float, float]:
     """(charge, energy) of the current field: mu-mass and E_g of its problem."""
-    vals = state.op.check_field(state.v)
-    return state.op.mass(vals), state.op.energy(vals)
+    report = _energy_report(state.op, state.op.check_field(state.v))
+    return report.mass_mu, report.E
 
 
 def propagate(

@@ -123,8 +123,8 @@ def _residual_norm(op: RadialOperator, v: np.ndarray, lam: float, nl_vec=None) -
 
 def _j_and_multiplier(op: RadialOperator, v: np.ndarray) -> tuple[float, float]:
     """(J, quotient multiplier) of v from one evaluation of each form."""
-    d, nl, m = op.dirichlet(v), op.nonlinear(v), op.mass(v)
-    return (0.5 * d - nl) + 0.5 * m, (op.params.q * nl - d) / m
+    r = _energy_report(op, v)
+    return r.J, (op.params.q * r.nonlinear - r.dirichlet_mu) / r.mass_mu
 
 
 def _renormalize(op: RadialOperator, v: np.ndarray, gamma: float) -> np.ndarray:

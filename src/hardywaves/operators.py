@@ -107,25 +107,12 @@ class RadialOperator:
     def dirichlet(self, v: np.ndarray) -> float:
         return self.sphere * dirichlet_form(self.stiffness, v)
 
-    def dirichlet_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        da, db = np.diff(a), np.diff(b)
-        return self.sphere * complex(
-            np.sum(self.stiffness * da * np.conj(db)) + self.stiffness * a[-1] * np.conj(b[-1])
-        )
-
-    def h_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """Energy-space inner product: Dirichlet part + weighted mass part."""
-        return self.dirichlet_inner(a, b) + self.mass_inner(a, b)
-
     def h_norm_sq(self, v: np.ndarray) -> float:
         return self.dirichlet(v) + self.mass(v)
 
     def nonlinear(self, v: np.ndarray) -> float:
         q = self.params.q
         return self.sphere / q * float(np.sum(self.mass_diag * self.w_sing * np.abs(v) ** q))
-
-    def energy(self, v: np.ndarray) -> float:
-        return 0.5 * self.dirichlet(v) - self.nonlinear(v)
 
     # -- operator application ------------------------------------------------
 

@@ -5,8 +5,11 @@ shares no code with ``hardywaves.groundstate`` and reads the discrete
 problem only through the operator's public forms and solves.
 ``cayley_reference`` solves one Crank-Nicolson stage in extended precision
 from the operator's bands alone, without its LAPACK solves.
-``orbit_distance_reference`` takes the orbit distance's phase from the
-operator's two-part energy inner product.
+``h_inner`` is the two-part energy inner product, from which
+``orbit_distance_reference`` takes the orbit distance's phase.
+``newton_fixed_lambda`` solves the stationary equation at a fixed
+multiplier, so it also reaches standing waves with nodes, which the
+library's ground-state solver rightly never returns.
 """
 
 from dataclasses import dataclass
@@ -146,10 +149,48 @@ def cayley_reference(op, potential, v, dt):
     return rhs
 
 
+def h_inner(op: RadialOperator, a: np.ndarray, b: np.ndarray) -> complex:
+    """Energy-space inner product <a, b>_H: the Dirichlet part, cell
+    differences plus the zero ghost beyond r_max, plus the mass part."""
+    da, db = np.diff(a), np.diff(b)
+    dirichlet = op.sphere * complex(
+        np.sum(op.stiffness * da * np.conj(db)) + op.stiffness * a[-1] * np.conj(b[-1])
+    )
+    return dirichlet + op.mass_inner(a, b)
+
+
 def orbit_distance_reference(op: RadialOperator, v: np.ndarray, wave: np.ndarray) -> float:
     """Energy-norm distance from v to the phase orbit of the wave, with the
-    optimal phase arg <v, wave>_H from ``op.h_inner`` (Dirichlet part plus
+    optimal phase arg <v, wave>_H from ``h_inner`` (Dirichlet part plus
     mass part) and the norm of the explicit difference."""
-    inner = op.h_inner(v, wave)
+    inner = h_inner(op, v, wave)
     phase = np.exp(1j * np.angle(inner)) if inner != 0.0 else 1.0
     return float(np.sqrt(op.h_norm_sq(v - phase * wave)))
+
+
+def newton_fixed_lambda(op: RadialOperator, v: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
+    """Damped Newton on K v + M (lam v - N(v)) = 0 at the fixed multiplier
+    lam, through ``op.solve_tridiag``; each step halves until the residual's
+    dual norm, sqrt(N omega_N g . (M + K)^{-1} g), decreases.  Returns the
+    solution and its step count once that norm is below 1e-9, within 50
+    steps."""
+    q, tol, max_steps = op.params.q, 1e-9, 50
+
+    def residual(v):
+        g = op.stiffness_apply(v) + op.mass_diag * (lam * v - _nonlinearity(op, v))
+        return g, float(np.sqrt(op.sphere * np.dot(g, op.solve_spd(g, 1.0))))
+
+    g, norm = residual(v)
+    for steps in range(max_steps + 1):
+        if norm < tol:
+            return v, steps
+        step = op.solve_tridiag(lam - (q - 1.0) * op.w_sing * np.abs(v) ** (q - 2.0), g)
+        damping = 1.0
+        while True:
+            v_try = v - damping * step
+            g_try, norm_try = residual(v_try)
+            if norm_try < norm or damping < 1e-8:
+                break
+            damping *= 0.5
+        v, g, norm = v_try, g_try, norm_try
+    raise AssertionError(f"Newton did not reach dual residual {tol} in {max_steps} steps")

@@ -8,7 +8,7 @@ from scipy.linalg import get_lapack_funcs, solveh_banded
 
 from hardywaves import build_grid, operators
 from hardywaves.operators import RadialOperator
-from oracle import cayley_reference
+from oracle import cayley_reference, h_inner
 
 
 # ids keep the names of the log-grid cases from when the grid kind was a
@@ -105,8 +105,8 @@ def test_solve_tridiag_matches_dense_reference(params33):
 
 def test_stiffness_is_one_coefficient(params33):
     # K carries the one coefficient 1/h: its bands are exact multiples of
-    # it, and K v, the Dirichlet form and its inner product all agree with
-    # the dense matrix assembled from those bands
+    # it, and K v, the Dirichlet form and the oracle's energy inner product
+    # all agree with the dense matrix assembled from those bands (plus M)
     op = RadialOperator(build_grid(257, 1e-3, 30.0), params33)
     n = op.grid.n
     assert op.stiffness == 1.0 / op.grid.log_step
@@ -121,9 +121,9 @@ def test_stiffness_is_one_coefficient(params33):
     assert abs(op.dirichlet(v) - op.sphere * (v @ kv)) <= 1e-13 * op.dirichlet(v)
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ref = op.sphere * np.vdot(b, dense @ a)
-    scale = np.sqrt(op.dirichlet(a) * op.dirichlet(b))
-    assert abs(op.dirichlet_inner(a, b) - ref) <= 1e-13 * scale
+    ref = op.sphere * np.vdot(b, dense @ a + op.mass_diag * a)
+    scale = np.sqrt(op.h_norm_sq(a) * op.h_norm_sq(b))
+    assert abs(h_inner(op, a, b) - ref) <= 1e-13 * scale
 
 
 def _tridiagonal_systems(rng, n, nrhs, singular):

@@ -30,7 +30,7 @@ from hardywaves import stability
 from hardywaves.evolve import initial_state, invariants, propagate
 from hardywaves.operators import RadialOperator
 from hardywaves.stability import PERTURBATION_KINDS, _experiments, check_run, perturbed_field
-from oracle import orbit_distance_reference
+from oracle import h_inner, newton_fixed_lambda, orbit_distance_reference
 
 
 def test_orbit_distance_phase_invariance(wave2k):
@@ -55,8 +55,8 @@ def test_orbit_distance_pythagoras(wave2k, params33):
     op = RadialOperator(wave2k.v.grid, params33)
     vg = wave2k.v.values.astype(complex)
     w = np.exp(-((wave2k.v.grid.nodes - 1.0) ** 2)).astype(complex)
-    w = w - (op.h_inner(w, vg) / op.h_norm_sq(vg)) * vg
-    assert abs(op.h_inner(w, vg)) < 1e-12
+    w = w - (h_inner(op, w, vg) / op.h_norm_sq(vg)) * vg
+    assert abs(h_inner(op, w, vg)) < 1e-12
     perturbed = wave2k.v.with_values(vg + w)
     expected = np.sqrt(op.h_norm_sq(w))
     assert abs(orbit_distance(perturbed, wave2k) - expected) < 1e-9 * expected
@@ -73,6 +73,57 @@ def test_orbit_distance_matches_the_two_part_inner_product(wave2k, params33, kin
             expected = orbit_distance_reference(op, state.v.values, wave)
             assert abs(orbit_distance(state.v, wave2k) - expected) <= 1e-12 * expected
             state = propagate(state, 1e-3, 100)
+
+
+@pytest.fixture(scope="module")
+def fixed_lambda_states(grid2k, params33):
+    """The ground state and the one-node state at lambda = 1 on the
+    2048-node grid, with their Newton step counts, from the oracle."""
+    op = RadialOperator(grid2k, params33)
+    r = grid2k.nodes
+    ground = newton_fixed_lambda(op, 2.0 * np.exp(-r**2 / 2.0), 1.0)
+    start = 2.0 * np.max(ground[0]) * np.exp(-r**2 / 2.0) * (1.0 - r**2)
+    return op, {"ground": ground, "one-node": newton_fixed_lambda(op, start, 1.0)}
+
+
+@pytest.mark.parametrize("name, steps, mass, nodes", [
+    ("ground", 4, 25.91, 0), ("one-node", 6, 531.70, 1),
+])
+def test_newton_reaches_the_standing_waves_at_fixed_lambda(fixed_lambda_states, name, steps,
+                                                           mass, nodes):
+    op, states = fixed_lambda_states
+    v, taken = states[name]
+    assert taken == steps
+    assert abs(op.mass(v) - mass) < 5e-3
+    assert np.count_nonzero(np.diff(np.sign(v))) == nodes
+
+
+def _orbit_distances(op, params, wave):
+    """Oracle orbit distances at t = 0.5, 1, ..., 12 (dt = 2e-3) of a run
+    from the wave plus an H-normalised radial bump of size 1e-7, with the
+    wave's mass restored."""
+    bump = np.exp(-((op.grid.nodes - 2.0) ** 2))
+    v = wave + (1e-7 / np.sqrt(op.h_norm_sq(bump))) * bump
+    state = initial_state(Field(v * np.sqrt(op.mass(wave) / op.mass(v)), op.grid), params)
+    distances = []
+    for _ in range(24):
+        state = propagate(state, 2e-3, 250)
+        distances.append(orbit_distance_reference(op, state.v.values, wave))
+    return np.array(distances)
+
+
+def test_stability_negative_control(fixed_lambda_states, params33):
+    # a standing wave with a node is orbitally unstable: a 1e-7 perturbation
+    # grows at the linearisation's rate 0.7778 (measured 0.7729 over
+    # t in [5, 12]), while the ground state's distance stays at the
+    # Crank-Nicolson floor of dt = 2e-3 (measured at most 1.19e-5), not at delta
+    op, states = fixed_lambda_states
+    t = 0.5 * np.arange(1, 25)
+    late = t >= 5.0
+    excited = _orbit_distances(op, params33, states["one-node"][0])
+    rate = np.polyfit(t[late], np.log(excited[late]), 1)[0]
+    assert 0.74 <= rate <= 0.81
+    assert np.max(_orbit_distances(op, params33, states["ground"][0])) < 5e-5
 
 
 def test_orbit_distance_grid_mismatch(wave2k):
