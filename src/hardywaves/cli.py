@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -219,11 +220,14 @@ def _cmd_evolve(cfg: dict) -> dict:
         raise ParameterError(f"steps must be between 1 and {_MAX_STEPS:.0e}, got {steps}")
     grid = _grid_from(cfg)
     v0 = Field(values=np.exp(-grid.nodes**2 / 2.0).astype(complex), grid=grid)
-    state = initial_state(v0, _params_from(cfg))
+    params = _params_from(cfg)
+    if cfg["linear"]:  # the g == 0 problem, whose energy D/2 the scheme conserves
+        params = replace(params, weight=np.zeros_like)
+    state = initial_state(v0, params)
     chunk = max(steps // 20, 1)  # 20 checkpoints, and one more for a remainder
     chunks = [min(chunk, steps - done) for done in range(0, steps, chunk)]
     rows = [(0.0, state.charge0, state.energy0, 0.0, 0.0)]
-    for state, *values in _checkpoints(state, cfg["dt"], chunks, not cfg["linear"]):
+    for state, *values in _checkpoints(state, cfg["dt"], chunks):
         rows.append((state.time, *values))
     columns = list(np.array(rows).T)
     summary = {

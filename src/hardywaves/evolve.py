@@ -16,8 +16,9 @@ The fixed point is found by simplified Newton (Hairer & Wanner, Solving
 Ordinary Differential Equations II, IV.8): A_ref = M + i dt/2 (K - M P_ref)
 is factored once, and each iterate back-substitutes
 y_{k+1} = A_ref^{-1} (M v_n + i dt/2 M (P(y_k) - P_ref) y_k).  P_ref is P of
-the field at the run's first nonlinear step at that dt (0 for a linear run,
-where one solve is exact).  On a perturbed standing wave P(y) - P_ref is of
+the field at the run's first step at that dt.  The problem decides whether
+a run is linear: with a weight that is identically zero P vanishes, and one
+solve per step is exact.  On a perturbed standing wave P(y) - P_ref is of
 the order of the perturbation, and the iteration contracts as fast as with
 a fresh matrix per solve.  Off the orbit P drifts from P_ref and the
 contraction ratio theta grows; after a step that ends with theta > 1e-3
@@ -37,8 +38,7 @@ plain test needs three.  An update of y is half that of v_{n+1}, so the
 tolerance applies to twice the M-norm of the update of y.  The last two
 fields, eta_old and the stage (the factors of A_ref and P_ref) travel with
 the state, so chained ``propagate`` calls iterate across chunk boundaries
-exactly as one long call does; a change of dt or of ``nonlinear`` factors
-anew.
+exactly as one long call does; only a change of dt factors anew.
 
 The state carries its problem's operator, which ``initial_state``
 assembles and every step only reads.  A nonlinear step writes into work
@@ -83,11 +83,11 @@ class EvolutionState:
 
     ``op`` is the operator of the state's problem, which every step uses.
     ``history`` holds the field values of the last two steps, newest first,
-    ``stage`` (dt, nonlinear, factors of A_ref, P_ref) of the last step, or
-    (dt,) if the next is to refactor, and ``eta`` their midpoint iteration's
-    last estimate theta / (1 - theta); they only seed the next steps and
-    are never written out.  ``work`` holds the rows a nonlinear step
-    writes, () until the run's first one.
+    ``stage`` (dt, factors of A_ref, P_ref or None if linear) of the last
+    step, or (dt,) if the next is to refactor, and ``eta`` their midpoint
+    iteration's last estimate theta / (1 - theta); they only seed the next
+    steps and are never written out.  ``work`` holds the rows a nonlinear
+    step writes, () until the run's first one.
     """
 
     v: Field
@@ -122,22 +122,22 @@ def invariants(state: EvolutionState) -> tuple[float, float]:
     return report.mass_mu, report.E
 
 
-def propagate(
-    state: EvolutionState, dt: float, steps: int, nonlinear: bool = True
-) -> EvolutionState:
+def propagate(state: EvolutionState, dt: float, steps: int) -> EvolutionState:
     """Advance the state by ``steps`` Crank-Nicolson steps of size dt, on
     the state's own operator.
 
-    ``nonlinear=False`` disables the q-term, leaving the free 2D radial
-    propagator (useful against the closed-form dispersing Gaussian).  The
-    returned state carries the same operator, the factored stage and the
-    work rows, so chaining calls at one dt factors once.
+    The run is linear exactly when the operator's weight is identically
+    zero (a problem with ``weight=np.zeros_like``, the free 2D radial
+    propagator of the closed-form dispersing Gaussian).  The returned state
+    carries the same operator, the factored stage and the work rows, so
+    chaining calls at one dt factors once.
     """
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"time step must be finite and positive, got {dt}")
     if steps < 0:
         raise ParameterError(f"step count must be nonnegative, got {steps}")
     op = state.op
+    nonlinear = bool(np.any(op.w_sing))
     if nonlinear:
         op.params.require_subcritical("nonlinear propagation")
     v = op.check_field(state.v).astype(complex, copy=False)
@@ -149,15 +149,15 @@ def propagate(
     # charge is conserved, so its baseline sets the scale of the fixed-point tolerance
     scale = max(1.0, np.sqrt(state.charge0))
     for k in range(1, steps + 1):
-        if stage[:2] != (dt, nonlinear):
-            p_ref = op.w_sing * np.abs(v) ** (op.params.q - 2.0) if nonlinear else None
-            stage = (dt, nonlinear, op.cayley_factors(dt, p_ref), p_ref)
+        if len(stage) < 2 or stage[0] != dt:
+            p_ref = op.potential(v) if nonlinear else None
+            stage = (dt, op.cayley_factors(dt, p_ref), p_ref)
         if nonlinear:
             v_new, theta, eta = _cn_step(op, v, stage, history, eta, scale, work)
             if theta > _THETA_MAX:
                 stage = stage[:1]  # the next step refactors at its own field
         else:  # 2 y - v, y = A^-1 M v, formed in place on the solve's fresh result
-            v_new = op.solve_cayley(stage[2], np.multiply(op.mass_diag, v, out=mv))
+            v_new = op.solve_cayley(stage[1], np.multiply(op.mass_diag, v, out=mv))
             np.multiply(2.0, v_new, out=v_new)
             np.subtract(v_new, v, out=v_new)
         history = (v, *history[:1])
@@ -175,14 +175,14 @@ def propagate(
     )
 
 
-def _checkpoints(state: EvolutionState, dt: float, chunks, nonlinear=True):
+def _checkpoints(state: EvolutionState, dt: float, chunks):
     """Yield (state, charge, energy, charge drift, energy drift) after each chunk of steps.
 
     The drifts are |c - c_0| / c_0 and |E - E_0| / max(|E_0|, 1e-300).
     """
     energy_scale = max(abs(state.energy0), 1e-300)
     for steps in chunks:
-        state = propagate(state, dt, steps, nonlinear=nonlinear)
+        state = propagate(state, dt, steps)
         charge, energy = invariants(state)
         charge_drift = abs(charge - state.charge0) / state.charge0
         yield state, charge, energy, charge_drift, abs(energy - state.energy0) / energy_scale
@@ -222,8 +222,7 @@ def _cn_step(
     one solve, so that a run of one-solve steps drifts back toward 1 and
     measures the contraction again.
     """
-    dt, _, factors, p_ref = stage
-    q = op.params.q
+    dt, factors, p_ref = stage
     tol = _FP_TOL * scale
     mv, y, diff, m_diff, rhs, potential = work
     np.multiply(op.mass_diag, v, out=mv)
@@ -234,9 +233,7 @@ def _cn_step(
     for _ in range(_FP_MAX):
         # M v + i dt/2 M (P(y) - P_ref) y; a diverging y overflows here, which StepError reports
         with np.errstate(over="ignore", invalid="ignore"):
-            np.abs(y, out=potential)
-            potential **= q - 2.0
-            np.multiply(op.w_sing, potential, out=potential)
+            op.potential(y, out=potential)
             np.subtract(potential, p_ref, out=potential)
             np.multiply(op.mass_diag, potential, out=potential)
             np.multiply(potential, y, out=rhs)

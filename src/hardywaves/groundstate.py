@@ -103,28 +103,23 @@ class StandingWave:
             raise ConvergenceError("extrapolated origin value must be positive", diagnostics)
 
 
-def _nonlinear_term(op: RadialOperator, v: np.ndarray) -> np.ndarray:
-    return op.w_sing * np.abs(v) ** (op.params.q - 2) * v
-
-
 def _gradient(op: RadialOperator, v: np.ndarray, lam: float) -> np.ndarray:
     """g = K v + M (lam v - N(v)), the gradient of J with multiplier lam."""
-    return op.stiffness_apply(v) + op.mass_diag * (lam * v - _nonlinear_term(op, v))
+    return op.stiffness_apply(v) + op.mass_diag * (lam * v - op.potential(v) * v)
 
 
 def _residual_norm(op: RadialOperator, v: np.ndarray, lam: float, nl_vec=None) -> float:
-    if nl_vec is None:
-        nl_vec = _nonlinear_term(op, v)
+    nl_vec = op.potential(v) * v if nl_vec is None else nl_vec
     # strong form M^{-1} K v + lam v - N(v), not M^{-1} g: it rounds differently,
     # and the flow's lambda, J and residual are pinned to its bits
     res = op.stiffness_apply(v) / op.mass_diag + lam * v - nl_vec
     return float(np.sqrt(op.sphere * np.sum(op.mass_diag * res**2)))
 
 
-def _j_and_multiplier(op: RadialOperator, v: np.ndarray) -> tuple[float, float]:
-    """(J, quotient multiplier) of v from one evaluation of each form."""
+def _report_and_multiplier(op: RadialOperator, v: np.ndarray) -> tuple[EnergyReport, float]:
+    """(energy report, quotient multiplier) of v from one evaluation of each form."""
     r = _energy_report(op, v)
-    return r.J, (op.params.q * r.nonlinear - r.dirichlet_mu) / r.mass_mu
+    return r, (op.params.q * r.nonlinear - r.dirichlet_mu) / r.mass_mu
 
 
 def _renormalize(op: RadialOperator, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -140,14 +135,13 @@ def _newton_polish(op, v, lam, gamma, tol):
     Targets a fraction of the tolerance so that converged runs land with
     margin rather than just under the threshold.
     """
-    q = op.params.q
     rn = _residual_norm(op, v, lam)
     for _ in range(_NEWTON_MAX_STEPS):
         if rn < 0.2 * tol:
             return v, rn, "tol"
         g1 = _gradient(op, v, lam)
         g2 = op.mass(v) - gamma
-        jac_diag = lam - (q - 1) * op.w_sing * np.abs(v) ** (q - 2)
+        jac_diag = lam - (op.params.q - 1) * op.potential(v)
         rhs = np.column_stack([-g1, op.mass_diag * v])
         try:
             sol = op.solve_tridiag(jac_diag, rhs)
@@ -211,9 +205,9 @@ def normalized_gradient_flow(
     v = _renormalize(op, v, gamma)
 
     dt = _FLOW_DT0
-    j_val, lam = _j_and_multiplier(op, v)
-    j_history = [j_val]  # flow iterates: J-monotone by backtracking
-    nl_vec = _nonlinear_term(op, v)  # of the current v: residual and next step share it
+    report, lam = _report_and_multiplier(op, v)
+    j_history = [report.J]  # flow iterates: J-monotone by backtracking
+    nl_vec = op.potential(v) * v  # of the current v: residual and next step share it
     rn = _residual_norm(op, v, lam, nl_vec)
     switch = 1e-3
     iterations = 0
@@ -227,8 +221,8 @@ def normalized_gradient_flow(
             if rn_new < rn:
                 # the flow goes on with the quotient multiplier, not Newton's
                 v, rn = v_new, rn_new
-                j_val, lam = _j_and_multiplier(op, v)
-                nl_vec = _nonlinear_term(op, v)
+                report, lam = _report_and_multiplier(op, v)
+                nl_vec = op.potential(v) * v
             if rn < tol:
                 break
             # Newton stalled above tol: demand a deeper flow start before retrying
@@ -237,21 +231,21 @@ def normalized_gradient_flow(
         rhs = op.mass_diag * (v + dt * (nl_vec - lam * v))
         v_try = op.solve_spd(rhs, dt)
         v_try = _renormalize(op, v_try, gamma)
-        j_try, lam_try = _j_and_multiplier(op, v_try)
-        if j_try <= j_val + _J_MONO_TOL:
-            v, j_val, lam = v_try, j_try, lam_try
+        report_try, lam_try = _report_and_multiplier(op, v_try)
+        if report_try.J <= report.J + _J_MONO_TOL:
+            v, report, lam = v_try, report_try, lam_try
             # a partial Newton detour may sit above the recorded minimum;
             # flow steps re-enter the monotone record once they descend past it
-            if j_val <= j_history[-1] + _J_MONO_TOL:
-                j_history.append(j_val)
-            nl_vec = _nonlinear_term(op, v)
+            if report.J <= j_history[-1] + _J_MONO_TOL:
+                j_history.append(report.J)
+            nl_vec = op.potential(v) * v
             rn = _residual_norm(op, v, lam, nl_vec)
             dt = min(dt * _FLOW_DT_GROWTH, _FLOW_DT_MAX)
         else:
             dt = max(dt / 2.0, _FLOW_DT_MIN)
 
     if rn >= tol:
-        diagnostics = {"residual": rn, "iterations": iterations, "J": j_val, "lambda": lam,
+        diagnostics = {"residual": rn, "iterations": iterations, "J": report.J, "lambda": lam,
                        "dt": dt}
         if polish_stop is not None:  # why the last Newton polish gave up
             diagnostics["polish_stop"] = polish_stop
@@ -264,15 +258,15 @@ def normalized_gradient_flow(
 
     # guard the constraint against polish roundoff, then re-measure
     v = _renormalize(op, v, gamma)
-    j_final, lam = _j_and_multiplier(op, v)  # j_final: the converged value, lowest of the run
+    report, lam = _report_and_multiplier(op, v)  # report.J: the converged value, lowest of the run
     rn = _residual_norm(op, v, lam)
-    if j_final <= j_history[-1] + _J_MONO_TOL:  # fails only short of a true minimum
-        j_history.append(j_final)
+    if report.J <= j_history[-1] + _J_MONO_TOL:  # fails only short of a true minimum
+        j_history.append(report.J)
     v0 = origin_intercept(v[:3], grid, params.N)
     return StandingWave(
         v=Field(values=v, grid=grid),
         lam=lam,
-        energies=_energy_report(op, v),
+        energies=report,
         v0=v0,
         Lambda_origin=0.5 * params.N * (params.N - 2) * unit_ball_volume(params.N) * v0**2,
         residual=rn,

@@ -114,6 +114,11 @@ class RadialOperator:
         q = self.params.q
         return self.sphere / q * float(np.sum(self.mass_diag * self.w_sing * np.abs(v) ** q))
 
+    def potential(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The nonlinear potential w |v|^{q-2}, into the real row ``out`` if given."""
+        out = np.abs(v, out=out)
+        return np.multiply(self.w_sing, np.power(out, self.params.q - 2.0, out=out), out=out)
+
     # -- operator application ------------------------------------------------
 
     def stiffness_apply(self, v: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ workloads (the 21 survey ground states, its checks and Kelvin run, the
 dispersion evolves and the orbital stability run for each perturbation kind)
 plus the fixed ``EXTRA_TASKS``, then compares every file the two trees wrote,
 byte for byte, and each task's outcome: its exit code, or the class of an
-exception that escaped ``main``.  Exits 0 when all are equal.  A perf change
-that claims identical artifacts runs it against a checkout of its parent commit.
+exception that escaped ``main``.  A file that differs is listed with the
+CSV columns or top-level JSON keys whose text differs.  Exits 0 when all
+are equal.  A perf change that claims identical artifacts runs it against
+a checkout of its parent commit.
 """
 
 from __future__ import annotations
@@ -84,6 +86,25 @@ def _run(src: Path, tasks, outroot: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _fields(path: Path) -> dict:
+    """The text of each column of a CSV file, or of each top-level key of a
+    JSON one, by name; {} for any other file."""
+    if path.suffix == ".json":
+        return {key: json.dumps(val) for key, val in json.loads(path.read_text()).items()}
+    if path.suffix != ".csv":
+        return {}
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                     if not line.startswith("#")]
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+def _differing_fields(old: Path, new: Path) -> list[str]:
+    """Names of the columns or keys whose text differs between two files."""
+    fields = _fields(old), _fields(new)
+    names = [*fields[0], *(name for name in fields[1] if name not in fields[0])]
+    return [name for name in names if fields[0].get(name) != fields[1].get(name)]
+
+
 def main(argv: list[str]) -> int:
     old, new = (Path(a).resolve() for a in argv)
     tasks = _tasks()
@@ -91,16 +112,17 @@ def main(argv: list[str]) -> int:
         roots = Path(tmp, "old"), Path(tmp, "new")
         outcomes = [_run(src, tasks, root) for src, root in zip((old, new), roots)]
         files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in roots]
-        differ = sorted(f for f in files[0] & files[1]
-                        if (roots[0] / f).read_bytes() != (roots[1] / f).read_bytes())
+        differ = {f: _differing_fields(roots[0] / f, roots[1] / f)
+                  for f in sorted(files[0] & files[1])
+                  if (roots[0] / f).read_bytes() != (roots[1] / f).read_bytes()}
     changed = [name for name, _ in tasks if outcomes[0][name] != outcomes[1][name]]
     for name in changed:
         print(f"outcome differs: {name}: {outcomes[0][name]} -> {outcomes[1][name]}")
     for tree, only in (("old", files[0] - files[1]), ("new", files[1] - files[0])):
         for f in sorted(only):
             print(f"only the {tree} tree wrote:", f)
-    for f in differ:
-        print("differs:", f)
+    for f, names in differ.items():
+        print(f"differs: {f}" + (f" ({', '.join(names)})" if names else ""))
     print(f"{len(tasks)} tasks, {len(files[0])} and {len(files[1])} files, "
           f"{len(differ)} differ, {len(changed)} outcomes differ")
     return 1 if differ or changed or files[0] != files[1] else 0

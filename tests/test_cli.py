@@ -148,6 +148,15 @@ def test_evolve_linear_final_error(tmp_path):
     assert summary["charge_drift"] < 1e-10
 
 
+def test_evolve_linear_conserves_its_energy(tmp_path):
+    # a --linear run is the g == 0 problem, whose energy D/2 Crank-Nicolson
+    # conserves to roundoff
+    out = tmp_path / "ev"
+    assert run_cli(["evolve", "--linear", "--n", "2048", "--steps", "1000",
+                    "--dt", "1e-3", "--outdir", str(out)]) == 0
+    assert read_json(out / "evolve_summary.json")["energy_drift"] < 1e-10
+
+
 def test_stability_delta_zero_control(tmp_path):
     out = tmp_path / "st"
     assert run_cli(["stability", "--delta", "0", "--T", "2", "--dt", "1e-3",
@@ -445,8 +454,9 @@ def test_cli_csv_equals_reference_writer(argv, tmp_path, monkeypatch):
     _csv_reference(tmp_path / "ref.csv", header, columns, meta)
     written = path.read_bytes()
     assert written == (tmp_path / "ref.csv").read_bytes()
-    if argv[0] == "evolve":  # t = 0 and both drifts are exact zeros
-        assert written.split(b"\r\n")[1].startswith(b"0,") and written.count(b",0,0\r\n") == 1
+    if argv[0] == "evolve":  # the t = 0 row: t and both drifts are exact zeros
+        first = written.split(b"\r\n")[1]
+        assert first.startswith(b"0,") and first.endswith(b",0,0")
 
 
 def test_main_reuses_one_parser_across_commands(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import importlib.machinery
 import importlib.util
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs, solveh_banded
 
-from hardywaves import build_grid, operators
+from hardywaves import Params, build_grid, operators
 from hardywaves.operators import RadialOperator
 from oracle import cayley_reference, h_inner
 
@@ -124,6 +125,24 @@ def test_stiffness_is_one_coefficient(params33):
     ref = op.sphere * np.vdot(b, dense @ a + op.mass_diag * a)
     scale = np.sqrt(op.h_norm_sq(a) * op.h_norm_sq(b))
     assert abs(h_inner(op, a, b) - ref) <= 1e-13 * scale
+
+
+def test_potential_is_the_weighted_power():
+    # P(v) = r^{-(q-2)(N-2)/2} g(r) |v|^{q-2}, for real and complex fields,
+    # written into ``out`` when one is given, and 0 for g == 0
+    grid = build_grid(257, 1e-3, 30.0)
+    params = Params(N=5, q=2.4, weight=lambda r: 1.0 / (1.0 + r))
+    op = RadialOperator(grid, params)
+    rng = np.random.default_rng(29)
+    real = rng.standard_normal(grid.n)
+    for v in (real, real + 1j * rng.standard_normal(grid.n)):
+        ref = grid.nodes ** (-0.6) / (1.0 + grid.nodes) * np.abs(v) ** 0.4
+        assert np.allclose(op.potential(v), ref, rtol=1e-14, atol=0.0)
+        out = np.empty(grid.n)
+        assert op.potential(v, out=out) is out
+        assert np.array_equal(out, op.potential(v))
+    free = RadialOperator(grid, replace(params, weight=np.zeros_like))
+    assert not np.any(free.potential(real))
 
 
 def _tridiagonal_systems(rng, n, nrhs, singular):
