@@ -5,6 +5,8 @@ Random test fields are sums of 3-8 Gaussian bumps in log r with log-uniform
 centers in [10 r_min, r_max/10], widths 0.25-0.6 (log units), random signs
 and amplitudes; the narrow width cap keeps samples supported away from both
 grid boundaries so that boundary flux terms stay below the check tolerances.
+Each bump is evaluated only at the nodes where it is at least e^2 times the
+smallest normal double, and counts as 0 elsewhere: no term underflows.
 All checks are reproducible from (seed, grid, parameters) exactly.
 """
 
@@ -67,14 +69,9 @@ def _report(infos: list, least_of: np.ndarray | None = None, **payload) -> dict:
     return payload
 
 
-def random_fields(
-    grid: RadialGrid,
-    count: int,
-    seed: int,
-    support: tuple[float, float] | None = None,
-):
-    """Yield (sample_info, Field) for count >= 1 fields of the standard bump ensemble;
-    ``sample_info["index"]`` numbers them from 0."""
+def _bumps(grid: RadialGrid, count: int, seed: int, support: tuple[float, float] | None):
+    """Yield (sample_info, bumps) for count >= 1 draws of the standard bump
+    ensemble, each bump a (center, width, sign, amplitude) in log r."""
     if count < 1:
         raise ParameterError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -87,17 +84,34 @@ def random_fields(
             f"empty sample support {support}: needs r_max / r_min >= {bound:.4g}"
         )
     lo, hi = np.log(support[0]), np.log(support[1])
-    x = grid.log_nodes
     for k in range(count):
         n_bumps = int(rng.integers(3, 9))
         centers = rng.uniform(lo, hi, size=n_bumps)
         widths = rng.uniform(0.25, 0.6, size=n_bumps)
         signs = np.where(rng.random(n_bumps) < 0.5, -1.0, 1.0)
         amps = rng.uniform(0.5, 1.5, size=n_bumps)
-        values = np.zeros(grid.n)
-        for c, wdt, s, a in zip(centers, widths, signs, amps):
-            values += s * a * np.exp(-(((x - c) / wdt) ** 2))
         info = {"index": k, "n_bumps": n_bumps, "centers": centers.tolist()}
+        yield info, zip(centers, widths, signs, amps)
+
+
+def random_fields(
+    grid: RadialGrid,
+    count: int,
+    seed: int,
+    support: tuple[float, float] | None = None,
+):
+    """Yield (sample_info, Field) for count >= 1 fields of the standard bump ensemble;
+    ``sample_info["index"]`` numbers them from 0."""
+    x = grid.log_nodes
+    # half-width, in widths, of the window where a bump is at least e^2 tiny
+    reach = math.sqrt(-math.log(np.finfo(float).tiny) - 2.0)
+    for info, bumps in _bumps(grid, count, seed, support):
+        values = np.zeros(grid.n)
+        for c, wdt, s, a in bumps:
+            # s a exp >= e^2 tiny / 2 on the window, so no lane underflows;
+            # outside it the bump is taken as 0
+            i, j = np.searchsorted(x, (c - reach * wdt, c + reach * wdt))
+            values[i:j] += s * a * np.exp(-(((x[i:j] - c) / wdt) ** 2))
         yield info, Field(values=values, grid=grid)
 
 
@@ -241,12 +255,13 @@ def check_ihs(
     if h_kind == "log-weight":
         support = (10.0 * grid.r_min, ball_radius / np.e**2)
     h_vals = _ihs_weight(h_kind, grid.nodes, N, ball_radius)
+    r2 = grid.nodes**2
     sphere = N * unit_ball_volume(N)
 
     def ratio(v: Field) -> float:
         h_norm = np.sqrt(weighted_dirichlet(v, N) + integrate_mu(np.abs(v.values) ** 2, grid, N))
         # int h |phi|^{2*} dx reduces to sum w h |v|^{2*} r^{-2} against r dr
-        rhs_int = sphere * grid.quadrature(h_vals * np.abs(v.values) ** two_star / grid.nodes**2)
+        rhs_int = sphere * grid.quadrature(h_vals * np.abs(v.values) ** two_star / r2)
         # a sample outside the support of h bounds nothing
         return h_norm / rhs_int ** ((N - 2.0) / N) if rhs_int > 0.0 else np.inf
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 from .operators import RadialOperator, dirichlet_form
-from .radial import Field, check_dimension, origin_intercept, unit_ball_volume
+from .radial import Field, RadialGrid, check_dimension, origin_intercept, unit_ball_volume
 
 __all__ = [
     "EnergyReport",
@@ -60,16 +60,27 @@ def weighted_dirichlet(v: Field, N: int) -> float:
     return N * unit_ball_volume(N) * dirichlet_form(1.0 / v.grid.log_step, v.values)
 
 
-def hardy_cells(x: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
-    """Per-cell Hardy integrand of the values vals on the log-nodes x, with
-    cell-midpoint differences in log r and without the sphere factor: cell i
-    spans nodes i and i+1."""
-    h = np.diff(x)
-    alpha2 = ((N - 2) / 2.0) ** 2
+def _cell_factors(x: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Widths h and weights e^{(N-2) x_mid} of the cells of the log-nodes x:
+    cell i spans nodes i and i+1."""
     x_mid = 0.5 * (x[:-1] + x[1:])
+    return np.diff(x), np.exp((N - 2) * x_mid)
+
+
+def grid_cell_factors(grid: RadialGrid, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cell factors of the grid's log-nodes, formed once per (grid, N)."""
+    return grid._cached(("hardy cells", N), lambda: _cell_factors(grid.log_nodes, N))
+
+
+def hardy_cells(factors: tuple[np.ndarray, np.ndarray], vals: np.ndarray, N: int) -> np.ndarray:
+    """Per-cell Hardy integrand of the values vals on the cells with widths
+    and weights ``factors`` (see ``_cell_factors``), with cell-midpoint
+    differences in log r and without the sphere factor."""
+    h, weight = factors
+    alpha2 = ((N - 2) / 2.0) ** 2
     du = np.diff(vals) / h
     u_mid = 0.5 * (vals[:-1] + vals[1:])
-    return (np.abs(du) ** 2 - alpha2 * np.abs(u_mid) ** 2) * np.exp((N - 2) * x_mid) * h
+    return (np.abs(du) ** 2 - alpha2 * np.abs(u_mid) ** 2) * weight * h
 
 
 def hardy_functional_u(u: Field, N: int, eps: float) -> float:
@@ -84,10 +95,11 @@ def hardy_functional_u(u: Field, N: int, eps: float) -> float:
     if not (grid.r_min <= eps <= grid.r_max):
         raise DomainError(f"eps={eps} outside grid range [{grid.r_min}, {grid.r_max}]")
     x = grid.log_nodes
-    total = float(np.sum(hardy_cells(x, u.values, N)[grid.nodes[:-1] >= eps]))
+    cells = hardy_cells(grid_cell_factors(grid, N), u.values, N)
+    total = float(np.sum(cells[grid.nodes[:-1] >= eps]))
     # zero ghost node beyond r_max, one cell wide
     x_ghost = np.array([x[-1], x[-1] + (x[-1] - x[-2])])
-    ghost = hardy_cells(x_ghost, np.array([u.values[-1], 0.0]), N)
+    ghost = hardy_cells(_cell_factors(x_ghost, N), np.array([u.values[-1], 0.0]), N)
     return N * unit_ball_volume(N) * (total + ghost[0])
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import _sampled
-from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
+from .energies import (grid_cell_factors, hardy_cells, hardy_functional_u, surface_term,
+                       surface_term_limit)
 from .radial import Field, RadialGrid, check_dimension, integrate_mu, to_u, to_v, unit_ball_volume
 
 __all__ = [
@@ -29,15 +30,21 @@ __all__ = [
 
 
 def reciprocal_grid(grid: RadialGrid) -> RadialGrid:
-    """Grid with nodes 1/r (ascending), exact in the log coordinate."""
-    x = -grid.log_nodes[::-1]
-    return RadialGrid(nodes=np.exp(x), log_nodes=x)
+    """Grid with nodes 1/r (ascending), exact in the log coordinate; formed
+    once per grid."""
+
+    def make() -> RadialGrid:
+        x = -grid.log_nodes[::-1]
+        return RadialGrid(nodes=np.exp(x), log_nodes=x)
+
+    return grid._cached("reciprocal", make)
 
 
 def kelvin_transform(w: Field, N: int) -> Field:
     """psi(y) = |x|^{N-2} w(x) at y = x/|x|^2, on the reciprocal grid."""
-    scale = np.exp((N - 2) * w.grid.log_nodes)
-    return Field(values=(w.values * scale)[::-1], grid=reciprocal_grid(w.grid))
+    grid = w.grid
+    scale = grid._cached(("kelvin scale", N), lambda: np.exp((N - 2) * grid.log_nodes))
+    return Field(values=(w.values * scale)[::-1], grid=reciprocal_grid(grid))
 
 
 @dataclass(frozen=True)
@@ -64,13 +71,14 @@ def w_norm(w: Field, N: int) -> WNormReport:
     """
     grid = w.grid
     sphere = N * unit_ball_volume(N)
-    cells = hardy_cells(grid.log_nodes, w.values, N)
+    cells = hardy_cells(grid_cell_factors(grid, N), w.values, N)
 
     def hardy_inside(radius: float) -> float:
         return sphere * float(np.sum(cells[grid.nodes[1:] <= radius]))
 
     hardy = hardy_inside(grid.r_max)
-    weighted_mass = sphere * grid.quadrature(grid.nodes ** (N - 6) * np.abs(w.values) ** 2)
+    weight = grid._cached(("w-norm weight", N), lambda: grid.nodes ** (N - 6))
+    weighted_mass = sphere * grid.quadrature(weight * np.abs(w.values) ** 2)
     radii = grid.nodes[-3:]
     return WNormReport(
         value=hardy + weighted_mass,

@@ -124,6 +124,19 @@ class RadialGrid:
         for name, arr in (("nodes", nodes), ("log_nodes", log_nodes), ("weights", t * nodes**2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_memo", {})
+
+    def _cached(self, key, make):
+        """``make()``, evaluated on the first call with ``key`` and kept for
+        the life of this grid, with its arrays made read-only: the grid-only
+        factors that per-sample forms would otherwise rebuild."""
+        if key not in self._memo:
+            value = make()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
 
     @property
     def n(self) -> int:
@@ -190,7 +203,7 @@ class Field:
 
 
 def _transform_factor(grid: RadialGrid, N: int) -> np.ndarray:
-    return grid.nodes ** (-(N - 2) / 2.0)
+    return grid._cached(("transform", N), lambda: grid.nodes ** (-(N - 2) / 2.0))
 
 
 def to_u(v: Field, N: int) -> Field:

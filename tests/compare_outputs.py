@@ -46,10 +46,14 @@ print(json.dumps(outcomes))
 # whose potential power q - 2 is not 1, a ground state that fails to converge
 # (exit 2), a stability run whose second delta overflows the perturbed mass,
 # one whose two deltas both fail their first step (exit 2, the first
-# delta's error.json), and one with more deltas than a 4-CPU machine has
-# workers, so that its runs queue
+# delta's error.json), one with more deltas than a 4-CPU machine has
+# workers, so that its runs queue, and the sampled checks at N = 4 and 5,
+# whose grid factors the workloads' N = 3 checks do not form
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
+    ("check-hardy-N4", ["check", "hardy", "--N", "4", "--samples", "100"]),
+    ("check-ihs-N5", ["check", "ihs", "--N", "5", "--samples", "100"]),
+    ("kelvin-verify-N4", ["kelvin-verify", "--N", "4", "--samples", "40"]),
     ("check-ihs-log-weight", ["check", "ihs", "--h-kind", "log-weight", "--samples", "100"]),
     ("check-weight-failing", ["check", "weight", "--omega-zero", "0", "--omega-inf", "0"]),
     ("check-weight-integrable", ["check", "weight", "--omega-zero", "-1", "--omega-inf", "-4"]),

@@ -10,6 +10,8 @@ from the operator's bands alone, without its LAPACK solves.
 ``newton_fixed_lambda`` solves the stationary equation at a fixed
 multiplier, so it also reaches standing waves with nodes, which the
 library's ground-state solver rightly never returns.
+``bump_fields_reference`` sums each bump of the sample ensemble over the
+whole grid, against which ``checks.random_fields`` sums it on a window.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hardywaves import Params, ParameterError, RadialGrid
+from hardywaves.checks import _bumps
 from hardywaves.operators import RadialOperator
 
 
@@ -194,3 +197,14 @@ def newton_fixed_lambda(op: RadialOperator, v: np.ndarray, lam: float) -> tuple[
             damping *= 0.5
         v, g, norm = v_try, g_try, norm_try
     raise AssertionError(f"Newton did not reach dual residual {tol} in {max_steps} steps")
+
+
+def bump_fields_reference(grid: RadialGrid, count: int, seed: int, support=None):
+    """The nodal values of the ensemble's fields, each bump evaluated and
+    added at every node of the grid."""
+    x = grid.log_nodes
+    for _, bumps in _bumps(grid, count, seed, support):
+        values = np.zeros(grid.n)
+        for c, wdt, s, a in bumps:
+            values += s * a * np.exp(-(((x - c) / wdt) ** 2))
+        yield values

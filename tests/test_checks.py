@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from hardywaves import (
 from hardywaves import checks
 from hardywaves.checks import _ckn_ratio, random_fields
 from hardywaves.operators import RadialOperator
+from oracle import bump_fields_reference
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,43 @@ def test_random_fields_supported_away_from_boundaries(grid8k):
     for _, field in random_fields(grid8k, 10, seed=1):
         assert abs(field.values[0]) < 1e-6
         assert abs(field.values[-1]) < 1e-6
+
+
+# grids whose bumps reach far into exp's underflow range: the default one,
+# a wide one and a coarse one
+BUMP_GRIDS = [(8192, 1e-6, 50.0), (4096, 1e-5, 1e5), (512, 1e-4, 30.0)]
+
+
+@pytest.mark.parametrize("shape", BUMP_GRIDS)
+def test_random_fields_do_not_underflow(shape):
+    grid = build_grid(*shape)
+    with np.errstate(under="raise"):
+        for seed in range(4):
+            for _ in random_fields(grid, 10, seed):
+                pass
+
+
+@pytest.mark.parametrize("shape", BUMP_GRIDS)
+def test_random_fields_match_full_grid_sums(shape):
+    # windowing drops only terms below e^2 tiny, which can round a sum only
+    # where it is itself below about 2^53 e^2 tiny
+    grid = build_grid(*shape)
+    for seed in range(20):
+        reference = bump_fields_reference(grid, 50, seed)
+        for (_, field), ref in zip(random_fields(grid, 50, seed), reference, strict=True):
+            large = np.abs(ref) >= 1e-290
+            assert np.array_equal(field.values[large], ref[large])
+            assert np.max(np.abs(field.values - ref), initial=0.0) <= 1e-306
+
+
+def test_grid_factors_die_with_their_grid():
+    grid = build_grid(512, 1e-4, 30.0)
+    check_hardy(3, 0, 3, grid)
+    check_ihs(3, 0, 4, grid)
+    kelvin_verify(grid, 5, 3, 0)
+    ref = weakref.ref(grid)
+    del grid
+    assert ref() is None
 
 
 @pytest.mark.parametrize("count", [0, -3])
