@@ -26,7 +26,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,11 +194,7 @@ def _cmd_ground_state(cfg: dict) -> dict:
     summary = {
         "gamma": sw.gamma,
         "lambda": sw.lam,
-        "E": sw.energies.E,
-        "J": sw.energies.J,
-        "dirichlet_mu": sw.energies.dirichlet_mu,
-        "mass_mu": sw.energies.mass_mu,
-        "nonlinear": sw.energies.nonlinear,
+        **asdict(sw.energies),
         "residual": sw.residual,
         "iterations": sw.iterations,
         "v0": sw.v0,

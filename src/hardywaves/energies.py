@@ -41,7 +41,6 @@ class EnergyReport:
     nonlinear: float
     E: float
     J: float
-    h_norm_sq: float
 
     def __post_init__(self):
         if min(self.dirichlet_mu, self.mass_mu, self.nonlinear) < 0.0:
@@ -61,23 +60,21 @@ def weighted_dirichlet(v: Field, N: int) -> float:
 
 
 def _cell_factors(x: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Widths h and weights e^{(N-2) x_mid} of the cells of the log-nodes x:
-    cell i spans nodes i and i+1."""
+    """Widths h and weights e^{(N-2) x_mid} of the n cells of the log-nodes x:
+    cell i spans nodes i and i+1, and the last one a step beyond x[-1]."""
+    x = np.append(x, x[-1] + (x[-1] - x[-2]))
     x_mid = 0.5 * (x[:-1] + x[1:])
     return np.diff(x), np.exp((N - 2) * x_mid)
 
 
-def grid_cell_factors(grid: RadialGrid, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cell factors of the grid's log-nodes, formed once per (grid, N)."""
-    return grid._cached(("hardy cells", N), lambda: _cell_factors(grid.log_nodes, N))
-
-
-def hardy_cells(factors: tuple[np.ndarray, np.ndarray], vals: np.ndarray, N: int) -> np.ndarray:
-    """Per-cell Hardy integrand of the values vals on the cells with widths
-    and weights ``factors`` (see ``_cell_factors``), with cell-midpoint
-    differences in log r and without the sphere factor."""
-    h, weight = factors
+def hardy_cells(grid: RadialGrid, vals: np.ndarray, N: int) -> np.ndarray:
+    """Per-cell Hardy integrand of the nodal values vals, extended by one
+    zero beyond r_max, on the grid's n cells (the last is the zero-extension
+    cell), with cell-midpoint differences in log r and without the sphere
+    factor; the cell factors are formed once per (grid, N)."""
+    h, weight = grid._cached(("hardy cells", N), lambda: _cell_factors(grid.log_nodes, N))
     alpha2 = ((N - 2) / 2.0) ** 2
+    vals = np.append(vals, 0.0)
     du = np.diff(vals) / h
     u_mid = 0.5 * (vals[:-1] + vals[1:])
     return (np.abs(du) ** 2 - alpha2 * np.abs(u_mid) ** 2) * weight * h
@@ -94,13 +91,9 @@ def hardy_functional_u(u: Field, N: int, eps: float) -> float:
     grid = u.grid
     if not (grid.r_min <= eps <= grid.r_max):
         raise DomainError(f"eps={eps} outside grid range [{grid.r_min}, {grid.r_max}]")
-    x = grid.log_nodes
-    cells = hardy_cells(grid_cell_factors(grid, N), u.values, N)
-    total = float(np.sum(cells[grid.nodes[:-1] >= eps]))
-    # zero ghost node beyond r_max, one cell wide
-    x_ghost = np.array([x[-1], x[-1] + (x[-1] - x[-2])])
-    ghost = hardy_cells(_cell_factors(x_ghost, N), np.array([u.values[-1], 0.0]), N)
-    return N * unit_ball_volume(N) * (total + ghost[0])
+    cells = hardy_cells(grid, u.values, N)
+    total = float(np.sum(cells[:-1][grid.nodes[:-1] >= eps]))
+    return N * unit_ball_volume(N) * (total + cells[-1])
 
 
 def surface_term(u: Field, N: int, eps: float) -> float:
@@ -145,5 +138,4 @@ def _energy_report(op: RadialOperator, v: np.ndarray) -> EnergyReport:
         nonlinear=nonlinear,
         E=energy,
         J=energy + 0.5 * mass,
-        h_norm_sq=dirichlet + mass,
     )

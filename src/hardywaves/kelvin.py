@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import _sampled
-from .energies import (grid_cell_factors, hardy_cells, hardy_functional_u, surface_term,
-                       surface_term_limit)
+from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
 from .radial import Field, RadialGrid, check_dimension, integrate_mu, to_u, to_v, unit_ball_volume
 
 __all__ = [
@@ -71,7 +70,7 @@ def w_norm(w: Field, N: int) -> WNormReport:
     """
     grid = w.grid
     sphere = N * unit_ball_volume(N)
-    cells = hardy_cells(grid_cell_factors(grid, N), w.values, N)
+    cells = hardy_cells(grid, w.values, N)[:-1]
 
     def hardy_inside(radius: float) -> float:
         return sphere * float(np.sum(cells[grid.nodes[1:] <= radius]))

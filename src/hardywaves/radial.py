@@ -32,8 +32,12 @@ __all__ = [
 
 
 def unit_ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N (sphere area is then N * omega_N)."""
-    return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
+    """Volume of the unit ball in R^N (sphere area is then N * omega_N);
+    Gamma(N/2 + 1) overflows a double from N = 342 on."""
+    try:
+        return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
+    except OverflowError:
+        raise ParameterError(f"the unit-ball volume overflows a double for N={N}") from None
 
 
 def check_dimension(N) -> int:
@@ -121,7 +125,11 @@ class RadialGrid:
         t = np.full(nodes.size, log_nodes[1] - log_nodes[0])
         t[0] *= 0.5
         t[-1] *= 0.5
-        for name, arr in (("nodes", nodes), ("log_nodes", log_nodes), ("weights", t * nodes**2)):
+        with np.errstate(over="ignore"):
+            weights = t * nodes**2
+        if not (np.all(np.isfinite(weights)) and weights.min() >= np.finfo(float).tiny):
+            raise ParameterError("grid quadrature weights t r^2 must be finite normal doubles")
+        for name, arr in (("nodes", nodes), ("log_nodes", log_nodes), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_memo", {})

@@ -47,8 +47,10 @@ print(json.dumps(outcomes))
 # (exit 2), a stability run whose second delta overflows the perturbed mass,
 # one whose two deltas both fail their first step (exit 2, the first
 # delta's error.json), one with more deltas than a 4-CPU machine has
-# workers, so that its runs queue, and the sampled checks at N = 4 and 5,
-# whose grid factors the workloads' N = 3 checks do not form
+# workers, so that its runs queue, the sampled checks at N = 4 and 5,
+# whose grid factors the workloads' N = 3 checks do not form, and inputs no
+# double can carry: grid weights t r^2 that under- or overflow, and a
+# dimension whose unit-ball volume overflows (each exit 1)
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-hardy-N4", ["check", "hardy", "--N", "4", "--samples", "100"]),
@@ -67,6 +69,12 @@ EXTRA_TASKS = [
     ("stability-queued", ["stability", "--n", "256", "--r-min", "1e-4", "--r-max", "30",
                           "--T", "0.2", "--dt", "2e-3", "--delta", "0", "1e-3", "1e-2", "2e-2",
                           "5e-2"]),
+    ("check-ihs-weights-underflow", ["check", "ihs", "--n", "256", "--r-min", "1e-200",
+                                     "--r-max", "50", "--samples", "3"]),
+    ("check-ihs-weights-overflow", ["check", "ihs", "--n", "256", "--r-min", "1e-6",
+                                    "--r-max", "1e160", "--samples", "3"]),
+    ("ground-state-N400", ["ground-state", "--N", "400", "--q", "2.005", "--n", "256",
+                           "--r-min", "1e-4", "--r-max", "30"]),
 ]
 
 

@@ -12,13 +12,16 @@ multiplier, so it also reaches standing waves with nodes, which the
 library's ground-state solver rightly never returns.
 ``bump_fields_reference`` sums each bump of the sample ensemble over the
 whole grid, against which ``checks.random_fields`` sums it on a window.
+``hardy_cells_reference`` forms the Hardy cells of the grid's n - 1
+interior cells alone, and ``hardy_functional_reference`` adds the
+zero-extension cell beyond r_max from its own two-node log grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from hardywaves import Params, ParameterError, RadialGrid
+from hardywaves import Field, Params, ParameterError, RadialGrid, unit_ball_volume
 from hardywaves.checks import _bumps
 from hardywaves.operators import RadialOperator
 
@@ -208,3 +211,24 @@ def bump_fields_reference(grid: RadialGrid, count: int, seed: int, support=None)
         for c, wdt, s, a in bumps:
             values += s * a * np.exp(-(((x - c) / wdt) ** 2))
         yield values
+
+
+def hardy_cells_reference(x: np.ndarray, vals: np.ndarray, N: int) -> np.ndarray:
+    """Per-cell Hardy integrand of vals on the cells between consecutive
+    log-nodes x, without the sphere factor."""
+    x_mid = 0.5 * (x[:-1] + x[1:])
+    h, weight = np.diff(x), np.exp((N - 2) * x_mid)
+    du = np.diff(vals) / h
+    u_mid = 0.5 * (vals[:-1] + vals[1:])
+    return (np.abs(du) ** 2 - ((N - 2) / 2.0) ** 2 * np.abs(u_mid) ** 2) * weight * h
+
+
+def hardy_functional_reference(u: Field, N: int, eps: float) -> float:
+    """The exterior Hardy functional: the interior cells at r >= eps plus a
+    zero ghost node one log step beyond r_max."""
+    x = u.grid.log_nodes
+    cells = hardy_cells_reference(x, u.values, N)
+    total = float(np.sum(cells[u.grid.nodes[:-1] >= eps]))
+    x_ghost = np.array([x[-1], x[-1] + (x[-1] - x[-2])])
+    ghost = hardy_cells_reference(x_ghost, np.array([u.values[-1], 0.0]), N)
+    return N * unit_ball_volume(N) * (total + ghost[0])

@@ -48,6 +48,16 @@ def test_ground_state_command(tmp_path):
     assert len(profile) == 2 + 512
 
 
+def test_ground_state_summary_keys_are_the_documented_ones(tmp_path):
+    # the energy block is written from the energy report's fields, so a
+    # field added there would change the file: pin the keys to FORMATS.md
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"`ground_state_summary.json`: keys: (.*?)\n\n", text, re.S)[1]
+    assert run_cli(["ground-state", *SMALL_GRID, "--outdir", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "ground_state_summary.json")
+    assert set(summary) == set(re.findall(r"`(\w+)`", paragraph))
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -84,6 +94,20 @@ def test_invalid_json_config_exit_1(tmp_path, capsys):
     code = run_cli(["evolve", "--config", str(cfg), "--outdir", str(tmp_path)])
     assert code == 1
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("write, message", [
+    (None, "not found"),
+    ("[1, 2]", "JSON object"),
+], ids=["missing", "not-an-object"])
+def test_missing_or_non_object_config_exit_1(write, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if write is not None:
+        cfg.write_text(write)
+    out = tmp_path / "out"
+    assert run_cli(["check", "weight", "--config", str(cfg), "--outdir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_directory_exit_1(tmp_path, capsys):
@@ -743,6 +767,25 @@ def test_ground_state_input_without_origin_fit_is_config_error(command, argv, tm
     err = capsys.readouterr().err
     assert "config error" in err and ("below r = 1" in err or "fit window" in err)
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "ihs", "--n", "2048", "--r-min", "1e-200", "--r-max", "50", "--samples", "3"],
+     "normal doubles"),
+    (["check", "ihs", "--n", "2048", "--r-min", "1e-6", "--r-max", "1e160", "--samples", "3"],
+     "normal doubles"),
+    (["ground-state", "--N", "400", "--q", "2.005", "--n", "256", "--r-min", "1e-4",
+      "--r-max", "30"], "unit-ball volume"),
+], ids=["weights-underflow", "weights-overflow", "unit-ball-overflow"])
+def test_unrepresentable_input_is_config_error(argv, message, tmp_path, capsys):
+    # grid weights that are not normal doubles made every integral read 0 or
+    # nan, so check ihs passed with min_ratio inf; N = 400 overflowed
+    # math.gamma and raised out of main
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not list(out.rglob("*"))
 
 
 def test_error_json_carries_the_stamp(tmp_path):

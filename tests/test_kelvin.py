@@ -11,10 +11,13 @@ from hardywaves import (
     lambda_infinity,
     reciprocal_grid,
     surface_term,
+    to_u,
     to_v,
     unit_ball_volume,
     w_norm,
 )
+from hardywaves.checks import random_fields
+from oracle import hardy_cells_reference
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +120,18 @@ def test_w_norm_mass_part_matches_direct_mass(wide_grid):
     report = w_norm(w, N)
     psi_mass = integrate_mu(np.abs(to_v(psi, N).values) ** 2, psi.grid, N)
     assert abs(report.weighted_mass - psi_mass) < 1e-12 * psi_mass
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 7])
+def test_w_norm_hardy_is_the_interior_cells(wide_grid, N):
+    # the Hardy part and its truncations leave the zero-extension cell out:
+    # masked sums of the reference's n - 1 interior cells, to the bit
+    sphere = N * unit_ball_volume(N)
+    fields = [tail_field(wide_grid, N=N)]
+    fields += [to_u(v, N) for _, v in random_fields(wide_grid, 3, seed=5)]
+    for w in fields:
+        cells = hardy_cells_reference(wide_grid.log_nodes, w.values, N)
+        report = w_norm(w, N)
+        inside = [sphere * float(np.sum(cells[wide_grid.nodes[1:] <= r]))
+                  for r in (wide_grid.r_max, *report.tail_radii)]
+        assert (report.hardy, *report.tail_hardy) == tuple(inside)

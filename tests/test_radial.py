@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,7 +31,9 @@ def test_grid_constructor_echo():
 
 @pytest.mark.parametrize(
     "n, r_min, r_max",
-    [(8, 1e-6, 50.0), (100, -1.0, 50.0), (100, 2.0, 1.0), (100, 0.0, 1.0)],
+    [(8, 1e-6, 50.0), (100, -1.0, 50.0), (100, 2.0, 1.0), (100, 0.0, 1.0),
+     # weights t r^2 that under- or overflow, so every integral reads 0 or nan
+     (2048, 1e-200, 50.0), (2048, 1e-6, 1e160)],
 )
 def test_grid_invalid_arguments(n, r_min, r_max):
     with pytest.raises(ParameterError):
@@ -44,10 +48,26 @@ def test_grid_rejects_unequal_log_steps():
         RadialGrid(nodes=r, log_nodes=np.log(r))
 
 
+@pytest.mark.parametrize("nodes", [[-1.0, 1.0, 3.0], [1.0, 3.0, 2.0]],
+                         ids=["nonpositive", "decreasing"])
+def test_grid_rejects_nodes_out_of_order(nodes):
+    with pytest.raises(ParameterError, match="positive and strictly increasing"):
+        RadialGrid(nodes=np.array(nodes), log_nodes=np.arange(3.0))
+
+
+def test_unit_ball_volume_overflow_is_a_parameter_error():
+    # Gamma(N/2 + 1) is finite up to N = 341 and overflows from N = 342
+    assert unit_ball_volume(341) == np.pi ** 170.5 / math.gamma(171.5) > 0.0
+    with pytest.raises(ParameterError, match="N=342"):
+        unit_ball_volume(342)
+
+
 def test_grid_tolerates_rounded_log_steps():
     # linspace rounds the log-nodes, so build_grid's steps spread by a few
-    # ulps of max|x|; the spacing check lets them through up to large n
-    for n, r_min, r_max in [(20_000, 1e-6, 50.0), (20_000, 1e-12, 400.0), (4096, 0.5, 2.0)]:
+    # ulps of max|x|; the spacing check lets them through up to large n, and
+    # the weight check lets through ranges close to the normal doubles'
+    for n, r_min, r_max in [(20_000, 1e-6, 50.0), (20_000, 1e-12, 400.0), (4096, 0.5, 2.0),
+                            (2048, 1e-150, 1e150)]:
         grid = build_grid(n, r_min, r_max)
         assert np.ptp(np.diff(grid.log_nodes)) > 0.0
 
@@ -180,6 +200,13 @@ def test_field_requires_finite_values():
     values[3] = np.nan
     with pytest.raises(ParameterError):
         Field(values=values, grid=grid)
+
+
+def test_field_requires_one_value_per_node():
+    grid = build_grid(512, 1e-4, 10.0)
+    for values in (np.ones(grid.n + 1), np.ones((grid.n, 2))):
+        with pytest.raises(ShapeError, match="512 nodes"):
+            Field(values=values, grid=grid)
 
 
 def test_params_validation():

@@ -45,7 +45,7 @@ def test_orbit_distance_of_wave_itself(wave2k):
 
 def test_orbit_distance_collinear(wave2k):
     scaled = wave2k.v.with_values(1.01 * wave2k.v.values)
-    expected = 0.01 * np.sqrt(wave2k.energies.h_norm_sq)
+    expected = 0.01 * np.sqrt(wave2k.op.h_norm_sq(wave2k.v.values))
     assert abs(orbit_distance(scaled, wave2k) - expected) < 1e-10 * expected
 
 
@@ -293,6 +293,17 @@ def test_stability_run_stays_read_only_through_pickle():
     for name in ("times", "distances", "charge_drift", "energy_drift"):
         assert not getattr(back, name).flags.writeable
         assert np.array_equal(getattr(back, name), getattr(run, name))
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(energy_drift=[0.0, 0.0, 0.0]), "one length"),
+    (dict(distances=[0.0, -1e-3]), "negative"),
+], ids=["lengths", "negative-distance"])
+def test_stability_run_rejects_inconsistent_arrays(change, match):
+    run = dict(delta=0.1, times=[0.0, 1.0], distances=[0.0, 0.1],
+               charge_drift=[0.0, 0.0], energy_drift=[0.0, 0.0])
+    with pytest.raises(ParameterError, match=match):
+        StabilityRun(**{**run, **change})
 
 
 def _cpus(monkeypatch, count):
