@@ -115,6 +115,24 @@ def random_fields(
         yield info, Field(values=values, grid=grid)
 
 
+def _require_finite_cells(grid: RadialGrid, N: int, kelvin: bool = False) -> None:
+    """Raise ParameterError unless the Hardy cell form of every sample
+    squares finite doubles.  A sample's |v| is at most 12 (8 bumps of
+    amplitude 1.5), so its transform image is at most 12 r_min^{-(N-2)/2},
+    its Kelvin image at most 12 r_max^{(N-2)/2}, and the form squares such a
+    value times the larger of 2/h and (N-2)/2; with ``kelvin`` both count,
+    which also bounds the Kelvin scales r^{+-(N-2)}."""
+    factor = math.log10(12.0 * max(2.0 / grid.log_step, (N - 2) / 2.0))
+    for end, sign in (("r_min", -1.0), ("r_max", 1.0))[:1 + kelvin]:
+        radius = getattr(grid, end)
+        exponent = 2.0 * (factor + sign * (N - 2) / 2.0 * math.log10(radius))
+        if exponent >= math.log10(np.finfo(float).max):
+            raise ParameterError(
+                f"N={N} with {end}={radius:g} makes the Hardy cell form square values up to "
+                f"about 1e{exponent:.0f}, beyond the largest double (1.8e308)"
+            )
+
+
 def _sampled(grid: RadialGrid, count: int, seed: int, measure, support=None):
     """Walk the bump ensemble once: the sample infos and an array holding
     ``measure(v)`` of each sample field v, one entry per sample along its
@@ -144,6 +162,7 @@ def check_hardy(
         dirichlet = weighted_dirichlet(v, N)
         return hardy, abs(hardy - dirichlet) / dirichlet if dirichlet > 0.0 else 0.0
 
+    _require_finite_cells(grid, N)
     infos, (hardy, mismatch) = _sampled(grid, sample_count, seed, hardy_and_mismatch)
     least = float(hardy.min())
     return _report(infos, hardy, min_hardy_functional=least,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _sampled
+from .checks import _require_finite_cells, _sampled
 from .energies import hardy_cells, hardy_functional_u, surface_term, surface_term_limit
 from .radial import Field, RadialGrid, check_dimension, integrate_mu, to_u, to_v, unit_ball_volume
 
@@ -117,6 +117,7 @@ def kelvin_verify(grid: RadialGrid, N: int, samples: int, seed: int) -> dict:
         return (float(np.max(np.abs(back.values - w.values))) / scale,
                 abs(wn - hn) / max(abs(hn), 1e-300))
 
+    _require_finite_cells(grid, N, kelvin=True)
     _, (involution, mismatch) = _sampled(grid, samples, seed, errors)
     worst_inv, worst_iso = float(involution.max()), float(mismatch.max())
     return {

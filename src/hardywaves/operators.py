@@ -22,8 +22,14 @@ A Crank-Nicolson stage is solved for its midpoint against M v, so it never
 forms K v, whose rounding an explicit right-hand side M v - i dt/2 K v
 would carry into the stage.  ``cayley_factors`` factors the stage matrix
 M + i dt/2 (K - M diag(potential)) once, and ``solve_cayley``
-back-substitutes a right-hand side through those factors; the caller keeps
-the factors (``evolve`` keeps them on the evolution state).
+back-substitutes a right-hand side through those factors in place, in the
+caller's row; the caller keeps the factors and the rows (``evolve`` keeps
+them on the evolution state).
+
+The mass, Dirichlet and nonlinear forms of a complex field are dot
+products of squared moduli, |v|^2 = Re(v)^2 + Im(v)^2, where ``np.abs``
+would take a hypot per value; a real field keeps the abs forms, so every
+real result (ground states, checks, Kelvin runs) has the same bits.
 
 The four tridiagonal LAPACK routines (dptsv, dgtsv, zgttrf, zgttrs) come
 from scipy's compiled f2py module ``scipy/linalg/_flapack``, loaded from
@@ -75,7 +81,10 @@ _ZGTTRF, _ZGTTRS = _flapack.zgttrf, _flapack.zgttrs
 def dirichlet_form(stiffness: float, v: np.ndarray) -> float:
     """(1/h) (sum_i |v_{i+1} - v_i|^2 + |v_n|^2), without the sphere factor,
     for ``stiffness`` = 1/h; the last term is the zero ghost cell beyond
-    r_max."""
+    r_max.  For complex v the sum is one dot product of the differences."""
+    if np.iscomplexobj(v):
+        diff = v[1:] - v[:-1]
+        return stiffness * float(np.vdot(diff, diff).real + v[-1].real ** 2 + v[-1].imag ** 2)
     return float(np.sum(stiffness * np.abs(np.diff(v)) ** 2) + stiffness * np.abs(v[-1]) ** 2)
 
 
@@ -95,10 +104,13 @@ class RadialOperator:
         # and locally integrable against r dr for q below the critical exponent
         base = grid.nodes ** (-(params.q - 2.0) * (params.N - 2.0) / 2.0)
         self.w_sing = base if params.weight is None else base * params.weight(grid.nodes)
+        self.mass_w = self.mass_diag * self.w_sing
 
     # -- basic bilinear/quadratic forms (all carry the N omega_N factor) ----
 
     def mass(self, v: np.ndarray) -> float:
+        if np.iscomplexobj(v):
+            return self.sphere * float(np.vdot(v, self.mass_diag * v).real)
         return self.sphere * float(np.sum(self.mass_diag * np.abs(v) ** 2))
 
     def mass_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
@@ -112,12 +124,21 @@ class RadialOperator:
 
     def nonlinear(self, v: np.ndarray) -> float:
         q = self.params.q
-        return self.sphere / q * float(np.sum(self.mass_diag * self.w_sing * np.abs(v) ** q))
+        if np.iscomplexobj(v):  # sum M w |v|^{q-2} |v|^2
+            squared = np.square(v.real) + np.square(v.imag)
+            power = squared ** (0.5 * q - 1.0)
+            return self.sphere / q * float(np.dot(self.mass_w * power, squared))
+        return self.sphere / q * float(np.sum(self.mass_w * np.abs(v) ** q))
 
-    def potential(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The nonlinear potential w |v|^{q-2}, into the real row ``out`` if given."""
+    def potential(
+        self, v: np.ndarray, out: np.ndarray | None = None, weight: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The nonlinear potential w |v|^{q-2}, into the real row ``out`` if
+        given; a ``weight`` row takes the place of w."""
         out = np.abs(v, out=out)
-        return np.multiply(self.w_sing, np.power(out, self.params.q - 2.0, out=out), out=out)
+        if self.params.q != 3.0:  # |v|^1 is |v|
+            np.power(out, self.params.q - 2.0, out=out)
+        return np.multiply(self.w_sing if weight is None else weight, out, out=out)
 
     # -- operator application ------------------------------------------------
 
@@ -168,10 +189,14 @@ class RadialOperator:
         return tuple(factors)
 
     def solve_cayley(self, factors: tuple, rhs: np.ndarray) -> np.ndarray:
-        """Solve (M + i dt/2 B) y = rhs through its ``cayley_factors``, into a
-        fresh array.  The two stage matrices sum to 2M, so with ``rhs`` = M v
-        the solution is the stage's midpoint y and v+ = 2 y - v."""
-        y, info = _ZGTTRS(*factors, rhs)
+        """Solve (M + i dt/2 B) y = rhs through its ``cayley_factors`` in
+        place: ``rhs``, a writable contiguous complex row, is overwritten by
+        y and returned.  The two stage matrices sum to 2M, so with ``rhs`` =
+        M v the solution is the stage's midpoint y and v+ = 2 y - v."""
+        # f2py would solve a copy of any other row, and writes a read-only one
+        if not (rhs.dtype == complex and rhs.flags.c_contiguous and rhs.flags.writeable):
+            raise ValueError("the right-hand side must be a writable contiguous complex row")
+        y, info = _ZGTTRS(*factors, rhs, "N", 1)  # no transpose, overwrite_b
         if info != 0:
             raise LinAlgError(f"Cayley stage solve failed (zgttrs info={info})")
         return y

@@ -209,6 +209,16 @@ class Field:
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(values=values, grid=self.grid)
 
+    @classmethod
+    def _checked(cls, values: np.ndarray, grid: RadialGrid) -> "Field":
+        """A field on finite ``values`` of the grid's length that their maker
+        writes no more: made read-only, not copied or checked again."""
+        field = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "grid", grid)
+        return field
+
 
 def _transform_factor(grid: RadialGrid, N: int) -> np.ndarray:
     return grid._cached(("transform", N), lambda: grid.nodes ** (-(N - 2) / 2.0))

@@ -165,6 +165,7 @@ def stability_experiment(
     steps_per_sample = max(1, int(round(T / (_SAMPLES * dt))))
     chunks = [steps_per_sample] * _SAMPLES
     h_wave = _h_apply(op, wave)
+    wave = wave.astype(complex)  # the same products with a phase, without a cast per sample
     samples = [
         (state.time, _distance(op, state.v.values, wave, h_wave), charge_drift, energy_drift)
         for state, _, _, charge_drift, energy_drift in _checkpoints(start, dt, chunks)

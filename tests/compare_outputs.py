@@ -8,9 +8,12 @@ dispersion evolves and the orbital stability run for each perturbation kind)
 plus the fixed ``EXTRA_TASKS``, then compares every file the two trees wrote,
 byte for byte, and each task's outcome: its exit code, or the class of an
 exception that escaped ``main``.  A file that differs is listed with the
-CSV columns or top-level JSON keys whose text differs.  Exits 0 when all
-are equal.  A perf change that claims identical artifacts runs it against
-a checkout of its parent commit.
+CSV columns or top-level JSON keys whose text differs, each with the
+largest absolute and relative difference of its numbers (``NaN`` and
+``inf`` included; a column or key whose other parts differ, or whose
+numbers do not pair up, is marked as such).  Exits 0 when all are equal.
+A perf change that claims identical artifacts runs it against a checkout
+of its parent commit.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ print(json.dumps(outcomes))
 # delta's error.json), one with more deltas than a 4-CPU machine has
 # workers, so that its runs queue, the sampled checks at N = 4 and 5,
 # whose grid factors the workloads' N = 3 checks do not form, and inputs no
-# double can carry: grid weights t r^2 that under- or overflow, and a
-# dimension whose unit-ball volume overflows (each exit 1)
+# double can carry: grid weights t r^2 that under- or overflow, a
+# dimension whose unit-ball volume overflows, and dimensions whose Hardy
+# cell form would square values beyond the largest double (each exit 1)
 EXTRA_TASKS = [
     ("check-weight", ["check", "weight"]),
     ("check-hardy-N4", ["check", "hardy", "--N", "4", "--samples", "100"]),
@@ -75,6 +79,8 @@ EXTRA_TASKS = [
                                     "--r-max", "1e160", "--samples", "3"]),
     ("ground-state-N400", ["ground-state", "--N", "400", "--q", "2.005", "--n", "256",
                            "--r-min", "1e-4", "--r-max", "30"]),
+    ("check-hardy-N59", ["check", "hardy", "--N", "59", "--n", "256", "--samples", "3"]),
+    ("kelvin-verify-N64", ["kelvin-verify", "--N", "64", "--n", "256", "--samples", "3"]),
 ]
 
 
@@ -110,11 +116,60 @@ def _fields(path: Path) -> dict:
     return {name: [row[k] for row in rows] for k, name in enumerate(header)}
 
 
+def _leaves(value):
+    """The scalars of a JSON value, in order."""
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _number(leaf) -> float | None:
+    """A leaf as a number (JSON spells non-finite ones as strings), or None
+    for a flag, a name or null."""
+    if isinstance(leaf, bool):
+        return None
+    try:
+        return float(leaf)
+    except (TypeError, ValueError):
+        return None
+
+
+def _parts(field) -> tuple[list, list]:
+    """The numbers of a CSV column (a list of cells) or of a JSON value's
+    text, in order, and its other leaves."""
+    leaves = list(_leaves(field if isinstance(field, list) else json.loads(field)))
+    numbers = [_number(leaf) for leaf in leaves]
+    return ([x for x in numbers if x is not None],
+            [leaf for leaf, x in zip(leaves, numbers) if x is None])
+
+
+def _size(old, new) -> str:
+    """The largest absolute and relative difference between the numbers of
+    two versions of one field, the relative one against the larger of each
+    pair's magnitudes."""
+    if old is None or new is None:
+        return "in one file only"
+    (a, a_other), (b, b_other) = _parts(old), _parts(new)
+    if a_other != b_other or len(a) != len(b):
+        return "differs in more than its numbers"
+    a, b = np.array(a), np.array(b)
+    with np.errstate(invalid="ignore"):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        gap = np.where(same, 0.0, np.abs(a - b))
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.where(same, 0.0, gap / np.where(scale > 0.0, scale, 1.0))
+    return f"max abs {np.max(gap, initial=0.0):.3g}, max rel {np.max(rel, initial=0.0):.3g}"
+
+
 def _differing_fields(old: Path, new: Path) -> list[str]:
-    """Names of the columns or keys whose text differs between two files."""
+    """The columns or keys whose text differs between two files, each with
+    the size of its difference."""
     fields = _fields(old), _fields(new)
     names = [*fields[0], *(name for name in fields[1] if name not in fields[0])]
-    return [name for name in names if fields[0].get(name) != fields[1].get(name)]
+    return [f"{name}: {_size(fields[0].get(name), fields[1].get(name))}"
+            for name in names if fields[0].get(name) != fields[1].get(name)]
 
 
 def main(argv: list[str]) -> int:
@@ -134,7 +189,7 @@ def main(argv: list[str]) -> int:
         for f in sorted(only):
             print(f"only the {tree} tree wrote:", f)
     for f, names in differ.items():
-        print(f"differs: {f}" + (f" ({', '.join(names)})" if names else ""))
+        print(f"differs: {f}" + (f" ({'; '.join(names)})" if names else ""))
     print(f"{len(tasks)} tasks, {len(files[0])} and {len(files[1])} files, "
           f"{len(differ)} differ, {len(changed)} outcomes differ")
     return 1 if differ or changed or files[0] != files[1] else 0

@@ -15,6 +15,8 @@ whole grid, against which ``checks.random_fields`` sums it on a window.
 ``hardy_cells_reference`` forms the Hardy cells of the grid's n - 1
 interior cells alone, and ``hardy_functional_reference`` adds the
 zero-extension cell beyond r_max from its own two-node log grid.
+``forms_reference`` is the operator's mass, Dirichlet and nonlinear forms
+through ``np.abs``, which the operator keeps for real fields only.
 """
 
 from dataclasses import dataclass
@@ -232,3 +234,13 @@ def hardy_functional_reference(u: Field, N: int, eps: float) -> float:
     x_ghost = np.array([x[-1], x[-1] + (x[-1] - x[-2])])
     ghost = hardy_cells_reference(x_ghost, np.array([u.values[-1], 0.0]), N)
     return N * unit_ball_volume(N) * (total + ghost[0])
+
+
+def forms_reference(op: RadialOperator, v: np.ndarray) -> tuple[float, float, float]:
+    """(mass, dirichlet, nonlinear) of the nodal values v, each a sum of
+    |.|-powers from ``np.abs``, with the zero ghost beyond r_max."""
+    q = op.params.q
+    mass = op.sphere * float(np.sum(op.mass_diag * np.abs(v) ** 2))
+    cells = np.sum(op.stiffness * np.abs(np.diff(v)) ** 2) + op.stiffness * np.abs(v[-1]) ** 2
+    nonlinear = op.sphere / q * float(np.sum(op.mass_diag * op.w_sing * np.abs(v) ** q))
+    return mass, op.sphere * float(cells), nonlinear

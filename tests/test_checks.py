@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -297,3 +298,27 @@ def test_checks_reject_bad_dimension(grid2k, check, N):
     # N = 2 used to divide by zero in ihs and weight, and kelvin_verify reported on it
     with pytest.raises(ParameterError, match="dimension N"):
         check(grid2k, N)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sampled_checks_are_finite_or_refused_for_every_dimension():
+    # at n = 256 the Hardy cell form of a transform image overflowed: check
+    # hardy reported NaN for N = 59-104, then, like kelvin_verify from
+    # N = 64, failed with "field values must be finite"
+    hardy_grid, kelvin_grid = build_grid(256, 1e-6, 50.0), build_grid(256, 1e-5, 1e5)
+    runs = {"hardy": lambda N: check_hardy(1, 0, N, hardy_grid),
+            "kelvin": lambda N: kelvin_verify(kelvin_grid, N, 1, 7)}
+    refused = {name: [] for name in runs}
+    for N in range(3, 342):
+        for name, run in runs.items():
+            try:
+                report = run(N)
+            except ParameterError as exc:
+                assert re.match(rf"N={N} with r_m(in|ax)=\S+ makes the Hardy cell form square "
+                                r"values up to about 1e\d+, beyond the largest double", str(exc))
+                refused[name].append(N)
+                continue
+            assert all(np.isfinite(value) for value in report.values()
+                       if isinstance(value, float))
+    # the refused dimensions are a tail: every smaller one gives finite numbers
+    assert refused == {"hardy": list(range(53, 342)), "kelvin": list(range(63, 342))}

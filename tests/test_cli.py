@@ -534,6 +534,23 @@ def test_check_rejects_bad_dimension(which, argv, tmp_path, capsys):
     assert not (out / f"check_{which}.json").exists()
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["check", "hardy", "--N", "59"], "N=59 with r_min=1e-06"),
+    (["check", "hardy", "--N", "105"], "N=105 with r_min=1e-06"),
+    (["kelvin-verify", "--N", "64"], "N=64 with r_min=1e-05"),
+    (["kelvin-verify", "--N", "64", "--r-min", "1e-3"], "N=64 with r_max=100000"),
+], ids=["hardy-nan", "hardy-overflow", "kelvin", "kelvin-r-max"])
+def test_sampled_checks_refuse_a_dimension_whose_cells_overflow(argv, refused, tmp_path, capsys):
+    # check hardy at N = 59 exited 0 with "min_hardy_functional": "nan", and
+    # at N = 105, like kelvin-verify at N = 64, exited 1 with the misleading
+    # "field values must be finite"
+    out = tmp_path / "big"
+    assert run_cli([*argv, "--n", "256", "--samples", "3", "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {refused} makes the Hardy cell form square values" in err
+    assert "beyond the largest double" in err and not list(out.glob("*.json"))
+
+
 @pytest.mark.parametrize("N", ["1", "2"])
 def test_kelvin_verify_rejects_bad_dimension(N, tmp_path, capsys):
     out = tmp_path / "kv"

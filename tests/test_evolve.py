@@ -218,13 +218,15 @@ def test_work_rows_are_made_once_per_run(grid2k, params33, monkeypatch):
     # made at its first nonlinear step, kept by every later propagate call
     # and refactor, and never made by a ground-state solve, a checker or a
     # linear run.  The operator stays as assembled, so runs that share it
-    # get rows of their own, and no returned field shares memory with them
+    # get rows of their own, and no returned field shares memory with them.
+    # The rows are the mass per real and imaginary part, five complex rows
+    # and the real potential
     made = []
     workspace = evolve._workspace
 
-    def recorded(n):
-        made.append(n)
-        return workspace(n)
+    def recorded(mass):
+        made.append(mass.size)
+        return workspace(mass)
 
     monkeypatch.setattr(evolve, "_workspace", recorded)
     grid = build_grid(512, 1e-4, 30.0)
@@ -239,7 +241,9 @@ def test_work_rows_are_made_once_per_run(grid2k, params33, monkeypatch):
     first = propagate(start, 1e-3, 3)
     second = propagate(first, 1e-3, 3)
     other = propagate(_start(op, perturbed_field(wave, 1e-2, "phase-ramp")), 1e-3, 3)
-    assert made == [grid.n, grid.n] and second.work is first.work and len(first.work) == 6
+    assert made == [grid.n, grid.n] and second.work is first.work
+    assert [row.shape for row in first.work] == [(2 * grid.n,), *5 * [(grid.n,)], (grid.n,)]
+    assert [row.dtype for row in first.work] == [float, *5 * [complex], float]
     assert not any(np.shares_memory(a, b) for a in first.work for b in other.work)
     assert vars(op).keys() == assembled.keys()
     assert all(vars(op)[key] is val for key, val in assembled.items())
@@ -264,6 +268,48 @@ def test_work_rows_are_made_once_per_run(grid2k, params33, monkeypatch):
     for state in (first, second, other, *states):
         for values in (state.v.values, *state.history):
             assert not any(np.shares_memory(values, row) for row in state.work)
+
+
+def test_steps_solve_in_place_in_rows_the_run_owns(wave2k, params33, monkeypatch):
+    # every solve back-substitutes into a work row (nonlinear) or into the
+    # row of v_{n+1} (linear), and a call's fields take turns in three rows
+    # of its own, which the returned field and history keep
+    rows = []
+    solve = RadialOperator.solve_cayley
+
+    def recorded(self, factors, rhs):
+        rows.append(rhs)
+        y = solve(self, factors, rhs)
+        assert y is rhs
+        return y
+
+    monkeypatch.setattr(RadialOperator, "solve_cayley", recorded)
+    free = replace(params33, weight=np.zeros_like)
+    for state in (_perturbed_wave(wave2k, params33, 1e-2), initial_state(wave2k.v, free)):
+        rows.clear()
+        first = propagate(state, 1e-3, 5)
+        second = propagate(first, 1e-3, 4)
+        block = second.v.values.base
+        assert block is not None and block is not first.v.values.base
+        assert all(field.base is block for field in second.history)
+        assert not second.v.values.flags.writeable
+        owned = (*first.work, first.v.values.base, block)
+        assert len(rows) >= 9 and all(any(np.shares_memory(rhs, row) for row in owned)
+                                      for rhs in rows)
+
+
+def test_linear_steps_give_the_bits_of_twice_the_midpoint(grid2k, params33):
+    # a linear step solves A (2 y) = 2 M v in place and subtracts v; doubling
+    # is exact, so the field has the bits of 2 A^-1 (M v) - v, solved into a
+    # fresh M v as the parent scheme did
+    v0 = Field(values=np.exp(-grid2k.nodes**2 / 2.0).astype(complex), grid=grid2k)
+    state = initial_state(v0, replace(params33, weight=np.zeros_like))
+    op, dt = state.op, 1e-3
+    factors = op.cayley_factors(dt)
+    v = v0.values
+    for _ in range(50):
+        v = 2.0 * op.solve_cayley(factors, op.mass_diag * v) - v
+    assert np.array_equal(propagate(state, dt, 50).v.values, v)
 
 
 def test_run_factors_its_stage_once(wave2k, params33, monkeypatch):

@@ -9,12 +9,12 @@ from scipy.linalg import get_lapack_funcs, solveh_banded
 
 from hardywaves import Params, build_grid, operators
 from hardywaves.operators import RadialOperator
-from oracle import cayley_reference, h_inner
+from oracle import cayley_reference, forms_reference, h_inner
 
 
 # ids keep the names of the log-grid cases from when the grid kind was a
-# parameter; the middle case passed a shared right-hand side, as repeated
-# stages now share M v
+# parameter; the middle case solves twice through one factorization, as
+# the iterates of a run do
 @pytest.mark.parametrize("with_potential, shared_mv", [
     pytest.param(True, False, id="log-False"),
     pytest.param(True, True, id="log-True"),
@@ -22,9 +22,10 @@ from oracle import cayley_reference, h_inner
 ])
 def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params33):
     # solve_cayley through cayley_factors returns the midpoint y of the
-    # stage, v+ = 2 y - v, to the rounding of one complex solve.  On white
-    # noise over 240 seeds it is at most 1.2e-15 off in the M-norm and
-    # 9.6e-13 of max|v+| at any node, where an explicit right-hand side
+    # stage, v+ = 2 y - v, in place in its right-hand side, to the rounding
+    # of one complex solve.  On white noise over 240 seeds it is at most
+    # 1.2e-15 off in the M-norm and 9.6e-13 of max|v+| at any node, where
+    # an explicit right-hand side
     # M v - i dt/2 K v is up to 1.7e-14 and 1.5e-11 off (median 7e-16 and
     # 2.1e-12).  The M-norm weights r^2 span 15 decades, so the max-norm
     # bound is what holds the nodes near the origin.  The potential is real,
@@ -36,18 +37,18 @@ def test_solve_cayley_matches_banded_reference(with_potential, shared_mv, params
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         potential = 10.0 * rng.standard_normal(n) if with_potential else np.zeros(n)
         mv = op.mass_diag * v
-        kept = mv.copy()
-        if shared_mv:
-            # an earlier stage on the same M v must leave it as it was, and
-            # its result, which is fresh, must survive the later stage
-            earlier = op.solve_cayley(op.cayley_factors(dt, 10.0 * rng.standard_normal(n)), mv)
-            kept_earlier = earlier.copy()
         factors = op.cayley_factors(dt, potential if with_potential else None)
-        x = 2.0 * op.solve_cayley(factors, mv) - v
-        ref = cayley_reference(op, potential, v, dt)
-        assert np.array_equal(mv, kept)
         if shared_mv:
-            assert np.array_equal(earlier, kept_earlier)
+            # a solve leaves the factors as they were, so a second solve of
+            # the same M v through them gives the same bits
+            earlier = op.solve_cayley(factors, mv.copy())
+        rhs = mv.copy()
+        y = op.solve_cayley(factors, rhs)
+        assert y is rhs
+        if shared_mv:
+            assert np.array_equal(y, earlier)
+        x = 2.0 * y - v
+        ref = cayley_reference(op, potential, v, dt)
         assert np.sqrt(op.mass(x - ref)) <= 2e-15 * np.sqrt(op.mass(ref))
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -143,6 +144,35 @@ def test_potential_is_the_weighted_power():
         assert np.array_equal(out, op.potential(v))
     free = RadialOperator(grid, replace(params, weight=np.zeros_like))
     assert not np.any(free.potential(real))
+
+
+@pytest.mark.parametrize("N, q", [(3, 3.0), (5, 2.4)])
+def test_forms_keep_the_abs_bits_of_real_fields(N, q):
+    # real fields (ground states, checks, Kelvin runs) keep the np.abs forms
+    # bit for bit; complex fields take dot products of squared moduli,
+    # measured at most 6.1e-16 from the abs forms over 200 random fields
+    grid = build_grid(2048, 1e-6, 50.0)
+    op = RadialOperator(grid, Params(N=N, q=q, weight=lambda r: 1.0 / (1.0 + r)))
+    rng = np.random.default_rng(37)
+    for taper in (np.ones(grid.n), np.exp(-grid.nodes / 5.0)):
+        real = taper * rng.standard_normal(grid.n)
+        assert (op.mass(real), op.dirichlet(real), op.nonlinear(real)) == forms_reference(op, real)
+        cplx = real + 1j * taper * rng.standard_normal(grid.n)
+        got = np.array([op.mass(cplx), op.dirichlet(cplx), op.nonlinear(cplx)])
+        ref = np.array(forms_reference(op, cplx))
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+def test_solve_cayley_refuses_a_row_it_would_copy(params33):
+    # f2py copies a right-hand side that is not a writable contiguous
+    # complex row, and the solution would not land in the caller's row
+    op = RadialOperator(build_grid(64, 1e-3, 10.0), params33)
+    factors = op.cayley_factors(1e-3)
+    read_only = np.ones(64, dtype=complex)
+    read_only.setflags(write=False)
+    for rhs in (np.ones(64), np.ones(128, dtype=complex)[::2], read_only):
+        with pytest.raises(ValueError, match="writable contiguous complex row"):
+            op.solve_cayley(factors, rhs)
 
 
 def _tridiagonal_systems(rng, n, nrhs, singular):

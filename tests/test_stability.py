@@ -266,6 +266,27 @@ def test_stability_experiment_matches_chained_propagate(wave2k, params33, kind):
     assert np.array_equal(expected, [run.times, run.distances, run.charge_drift, run.energy_drift])
 
 
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_orbital_runs_take_their_solve_counts(wave8k, kind, monkeypatch):
+    # the orbital benchmark's runs (T = 0.6, dt = 2e-3, 300 steps) take one
+    # solve per step on the orbit, plus the run's first, and two off it:
+    # 1501 per round.  A rounding change in the stage that lifts the first
+    # midpoint update of an unperturbed step above the 1e-12 stop costs
+    # about 50 more at delta = 0
+    solves = []
+    solve = RadialOperator.solve_cayley
+
+    def counted(self, *args):
+        solves.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(RadialOperator, "solve_cayley", counted)
+    for delta, expected in ((0.0, 301), (1e-3, 600), (1e-2, 600)):
+        solves.clear()
+        stability_experiment(wave8k, delta, perturbation_kind=kind, T=0.6, dt=2e-3)
+        assert len(solves) == expected
+
+
 def test_array_records_compare_by_identity(wave2k, params33):
     # == on records holding arrays is identity and never raises; values
     # compare with np.array_equal
